@@ -9,9 +9,10 @@ import repro.eval.MELData
 /** Shared, lazily cached datasets for the table benches.
   *
   * Sizes are the paper's Table 3 shapes scaled to the CPU substrate (see
-  * DESIGN.md §5 and EXPERIMENTS.md): Music-3K is ~1:1, the Music-1M analog
-  * is scaled ~1/150 with generator-level weak-label noise, Monitor keeps the
-  * paper's extreme negative skew. All construction is deterministic; batches
+  * DESIGN.md §5 and its local deviations): Music-3K is ~1:1, the Music-1M
+  * analog is 7,310 records (1,533 artist / 2,313 album / 3,464 track) with
+  * generator-level weak-label noise, Monitor keeps the paper's extreme
+  * negative skew. All construction is deterministic; batches
   * are cached per (dataset, scenario) so the 9 methods x 3 seeds reuse one
   * Spark extraction.
   */

@@ -12,8 +12,8 @@ import repro.text.HashEmbed
   * and adaptation" framing at its simplest. `hidden = 0` in [[MLPMatcher]]
   * makes this logistic regression.
   */
-final class TLER(seed: Long, epochs: Int = 200, lr: Double = 5e-2)
-    extends MLPMatcher("TLER", hidden = 0, epochs, lr, seed) {
+final class TLER(seed: Long)
+    extends MLPMatcher("TLER", hidden = 0, epochs = 200, lr = 5e-2, seed) {
   override def featurize(p: PairData, attrs: Vector[String]): Array[Double] =
     attrs.indices.flatMap { j =>
       val a = p.toks1(j); val b = p.toks2(j)
@@ -38,9 +38,8 @@ final class TLER(seed: Long, epochs: Int = 200, lr: Double = 5e-2)
   * it inherits whatever attribute importance the source labels imply —
   * the failure mode AdaMEL targets.
   */
-final class DeepMatcherLite(dim: Int, seed: Long, hidden: Int = 32,
-                            epochs: Int = 120, lr: Double = 1e-2)
-    extends MLPMatcher("DeepMatcher", hidden, epochs, lr, seed) {
+final class DeepMatcherLite(dim: Int, seed: Long, epochs: Int = 120)
+    extends MLPMatcher("DeepMatcher", hidden = 32, epochs, lr = 1e-2, seed) {
   override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = {
     val out = new Array[Double](attrs.length * 2 * dim)
     var j = 0
@@ -70,9 +69,8 @@ final class DeepMatcherLite(dim: Int, seed: Long, hidden: Int = 32,
   * Jaccard. This retains the property the paper credits EntityMatcher for:
   * robustness to values drifting across attributes.
   */
-final class EntityMatcherLite(seed: Long, hidden: Int = 32,
-                              epochs: Int = 120, lr: Double = 1e-2)
-    extends MLPMatcher("EntityMatcher", hidden, epochs, lr, seed) {
+final class EntityMatcherLite(seed: Long)
+    extends MLPMatcher("EntityMatcher", hidden = 32, epochs = 120, lr = 1e-2, seed) {
   override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = {
     val all1 = p.toks1.iterator.flatten.toSet
     val all2 = p.toks2.iterator.flatten.toSet
@@ -96,9 +94,8 @@ final class EntityMatcherLite(seed: Long, hidden: Int = 32,
   * features (normalized span matches); the TF-IDF summarization is kept in
   * spirit via the tokenizer's crop.
   */
-final class DittoLite(dim: Int, seed: Long, hidden: Int = 32,
-                      epochs: Int = 120, lr: Double = 1e-2)
-    extends MLPMatcher("Ditto", hidden, epochs, lr, seed) {
+final class DittoLite(dim: Int, seed: Long)
+    extends MLPMatcher("Ditto", hidden = 32, epochs = 120, lr = 1e-2, seed) {
   private def serialize(toks: Array[Seq[String]], attrs: Vector[String]): Seq[String] =
     attrs.indices.flatMap(j => if (toks(j).isEmpty) Seq.empty else s"col${attrs(j)}" +: toks(j))
 
@@ -131,8 +128,7 @@ final class DittoLite(dim: Int, seed: Long, hidden: Int = 32,
   * adaptation: CorDelLite is exactly the "features without the AdaMEL
   * mechanism" foil.
   */
-final class CorDelLite(seed: Long, hidden: Int = 32,
-                       epochs: Int = 120, lr: Double = 1e-2)
-    extends MLPMatcher("CorDel-Attention", hidden, epochs, lr, seed) {
+final class CorDelLite(seed: Long)
+    extends MLPMatcher("CorDel-Attention", hidden = 32, epochs = 120, lr = 1e-2, seed) {
   override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = p.features
 }

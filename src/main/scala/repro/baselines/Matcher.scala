@@ -1,7 +1,8 @@
 package repro.baselines
 
+import repro.core.{Classifier, Trainer}
 import repro.er.{PairBatch, PairData}
-import repro.linalg.{AD, Adam, Mat, Rng}
+import repro.linalg.{AD, Mat, Rng}
 
 /** Common interface for the supervised baselines of §5.1.
   *
@@ -15,71 +16,52 @@ trait Matcher {
   def scores(batch: PairBatch): Array[Double]
 }
 
-/** Generic 2-layer MLP matcher over a per-pair feature extractor.
+/** Generic MLP matcher over a per-pair feature extractor.
   *
   * All deep baselines (DeepMatcherLite, EntityMatcherLite, DittoLite,
   * CorDelLite) specialize this with their own featurization — the part the
-  * respective papers differ in — while sharing the classifier and training
-  * loop (full-batch Adam + BCE, matching the AdaMEL trainer for a fair
-  * comparison). `hidden = 0` degrades to logistic regression (TLER).
+  * respective papers differ in — while sharing AdaMEL's classifier head and
+  * training loop (class-stratified batch-16 Adam + BCE, see [[Trainer]]) for
+  * a fair comparison. `hidden = 0` degrades to logistic regression (TLER).
   */
-abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double, seed: Long,
-                          weightDecay: Double = 1e-2, batchSize: Int = 16)
+abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double, seed: Long)
     extends Matcher {
 
   /** Per-pair feature vector; must have fixed length for a given schema. */
   def featurize(p: PairData, attrs: Vector[String]): Array[Double]
 
-  private var w1: AD.V = _
-  private var b1: AD.V = _
-  private var w2: AD.V = _
-  private var b2: AD.V = _
-  private var trained = false
+  private var head: Option[Classifier] = None
 
   private def featureMat(batch: PairBatch): Mat =
     Mat.fromRows(batch.pairs.toIndexedSeq.map(p => featurize(p, batch.attrs)))
 
-  private def forward(x: Mat): AD.V = {
-    val in = AD.leaf(x)
-    if (hidden == 0) AD.addRowVec(AD.matmul(in, w2), b2)
-    else {
-      val h = AD.relu(AD.addRowVec(AD.matmul(in, w1), b1))
-      AD.addRowVec(AD.matmul(h, w2), b2)
-    }
-  }
-
   override def fit(source: PairBatch): Unit = {
+    require(source.n > 0, s"$name: fit on an empty batch")
     val x = featureMat(source)
-    val rng = new Rng(seed)
-    val inDim = x.cols
-    if (hidden == 0) {
-      w1 = AD.leaf(Mat.zeros(1, 1)); b1 = AD.leaf(Mat.zeros(1, 1))
-      w2 = AD.leaf(Mat.glorot(inDim, 1, rng)); b2 = AD.leaf(Mat.zeros(1, 1))
-    } else {
-      w1 = AD.leaf(Mat.glorot(inDim, hidden, rng)); b1 = AD.leaf(Mat.zeros(1, hidden))
-      w2 = AD.leaf(Mat.glorot(hidden, 1, rng)); b2 = AD.leaf(Mat.zeros(1, 1))
-    }
-    val params = if (hidden == 0) Seq(w2, b2) else Seq(w1, b1, w2, b2)
-    val opt = new Adam(params, lr, weightDecay = weightDecay)
+    val theta = new Classifier(x.cols, hidden, new Rng(seed))
+    val trainer = new Trainer(theta.parameters, lr, MLPMatcher.WeightDecay)
     val y = source.labelCol
     val batchRng = new Rng(seed * 7 + 3)
-    for (_ <- 0 until epochs) {
-      // Stratified mini-batch SGD (paper baselines train with batch 16,
-      // §5.1; stratification counters Monitor-style skew — same treatment
-      // as the AdaMEL trainer for fairness).
-      repro.er.Batching.balancedBatches(source.labels, batchSize, batchRng).foreach { idx =>
-        val loss = AD.bceWithLogits(forward(x.rowsAt(idx)), y.rowsAt(idx),
-          Mat.fill(idx.length, 1, 1.0))
-        opt.zeroGrad(); AD.backward(loss); opt.step()
+    for (_ <- 0 until epochs)
+      trainer.epoch(source.labels, MLPMatcher.BatchSize, batchRng) { idx =>
+        Trainer.bce(theta(AD.leaf(x.rowsAt(idx))), y.rowsAt(idx))
       }
-    }
-    trained = true
+    head = Some(theta)
   }
 
   override def scores(batch: PairBatch): Array[Double] = {
-    require(trained, s"$name: fit before scores")
-    forward(featureMat(batch)).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
+    require(head.nonEmpty, s"$name: fit before scores")
+    val theta = head.get
+    val x = if (batch.n == 0) Mat.zeros(0, theta.inDim) else featureMat(batch)
+    theta(AD.leaf(x)).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
   }
+}
+
+object MLPMatcher {
+  /** Paper §5.1 batch size, as AdaMEL's. */
+  private val BatchSize = 16
+  /** Decoupled weight decay, as AdaMEL's default. */
+  private val WeightDecay = 1e-2
 }
 
 /** Shared string-similarity helpers for featurizers. */

@@ -1,7 +1,7 @@
 package repro.core
 
-import repro.er.PairBatch
-import repro.linalg.{AD, Adam, Mat, Rng}
+import repro.er.{Batching, PairBatch}
+import repro.linalg.{AD, Mat, Rng}
 
 /** Which loss the model trains with (paper §4.4). */
 sealed trait Variant { def name: String }
@@ -39,9 +39,6 @@ final case class AdaMELConfig(
     weightDecay: Double = 1e-2,
     seed: Long = 7L,
     featureIdx: Option[Seq[Int]] = None,
-    /** Ablation knob: when false, the support loss uses uniform weights
-      * instead of the Eq. (12) centroid-distance weights. */
-    eq12Weights: Boolean = true,
 )
 
 /** AdaMEL (paper §4): attribute-level attention over contrastive relational
@@ -53,14 +50,14 @@ final case class AdaMELConfig(
   *   E_j = tanh(X_j W) a                  // N x 1   energy (shared W, a)
   *   G   = softmax_rows([E_1 .. E_F])     // N x F   attention = knowledge K
   *   Z_j = relu(g_j ⊙ X_j)                // N x H   gated features
-  *   s   = MLP([Z_1 .. Z_F])              // N x 1   logits; ŷ = sigmoid(s)
+  *   s   = Θ([Z_1 .. Z_F])                // N x 1   logits; ŷ = sigmoid(s)
   * }}}
   *
-  * Training is full-batch Adam (the datasets at our scale fit in one batch;
-  * the paper's batch-16 SGD is an efficiency choice, not a modeling one —
-  * noted in EXPERIMENTS.md). The target-domain average attention (Eq. 10)
-  * and the support-set weights (Eq. 12) are recomputed each epoch from the
-  * current parameters, exactly as Algorithms 1-3 do per epoch.
+  * Training is class-stratified batch-16 Adam ([[Trainer]]; the local
+  * deviations from Algorithms 1-3 are listed in DESIGN.md §5). The
+  * target-domain average attention (Eq. 10) and the support-set weights
+  * (Eq. 12) are recomputed each epoch from the current parameters, exactly
+  * as Algorithms 1-3 do per epoch.
   */
 final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vector[String]) {
   import config._
@@ -72,17 +69,14 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
 
   private val rng = new Rng(seed)
   // Parameters (paper §4.5): per-feature V_j (D x H), b_j (1 x H); shared
-  // W (H x H'), a (H' x 1); classifier Θ: W1 (F*H x hidden), b1, W2, b2.
+  // W (H x H'), a (H' x 1); classifier Θ over the F*H gated features.
   private val vs = Array.fill(numFeatures)(AD.leaf(Mat.glorot(dim, h, rng)))
   private val bs = Array.fill(numFeatures)(AD.leaf(Mat.zeros(1, h)))
   private val w = AD.leaf(Mat.glorot(h, hPrime, rng))
   private val a = AD.leaf(Mat.glorot(hPrime, 1, rng))
-  private val w1 = AD.leaf(Mat.glorot(numFeatures * h, hidden, rng))
-  private val b1 = AD.leaf(Mat.zeros(1, hidden))
-  private val w2 = AD.leaf(Mat.glorot(hidden, 1, rng))
-  private val b2 = AD.leaf(Mat.zeros(1, 1))
+  private val theta = new Classifier(numFeatures * h, hidden, rng)
 
-  def parameters: Seq[AD.V] = (vs ++ bs ++ Seq(w, a, w1, b1, w2, b2)).toSeq
+  def parameters: Seq[AD.V] = (vs ++ bs ++ Seq(w, a) ++ theta.parameters).toSeq
   def parameterCount: Long = parameters.map(_.v.size.toLong).sum
 
   private def selFeats(batch: PairBatch): Array[Mat] = fIdx.map(batch.feats)
@@ -95,10 +89,7 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
     val es = xs.map(x => AD.matmul(AD.tanh(AD.matmul(x, w)), a))
     val g = AD.softmaxRows(AD.hcat(es.toIndexedSeq))
     val zs = Array.tabulate(numFeatures)(j => AD.relu(AD.mulColVec(xs(j), AD.colSlice(g, j))))
-    val zcat = AD.hcat(zs.toIndexedSeq)
-    val hid = AD.relu(AD.addRowVec(AD.matmul(zcat, w1), b1))
-    val s = AD.addRowVec(AD.matmul(hid, w2), b2)
-    (g, s)
+    (g, theta(AD.hcat(zs.toIndexedSeq)))
   }
 
   /** Detached (no-tape-reuse) forward for inference / statistics: returns
@@ -126,101 +117,42 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
   /** Train per the configured variant.
     *
     * @param source labeled source-domain pairs (D_S)
-    * @param target unlabeled target-domain pairs (D_T); required by Zero/Hyb
-    * @param support labeled support set (S_U); required by Few/Hyb
-    * @return per-epoch total loss (for convergence tests)
+    * @param target unlabeled target-domain pairs (D_T); required by Zero/Hyb, ignored by Base/Few
+    * @param support labeled support set (S_U); required by Few/Hyb, ignored by Base/Zero
+    * @return per-epoch loss: the summed step losses over the number of batches
     */
   def fit(source: PairBatch, target: Option[PairBatch] = None,
           support: Option[PairBatch] = None): Seq[Double] = {
-    require(variant == Variant.Base || variant == Variant.Few || target.nonEmpty,
-      s"${variant.name} requires the unlabeled target domain")
-    require(variant == Variant.Base || variant == Variant.Zero || support.nonEmpty,
-      s"${variant.name} requires the labeled support set")
+    val usesTarget = variant == Variant.Zero || variant == Variant.Hyb
+    val usesSupport = variant == Variant.Few || variant == Variant.Hyb
+    require(!usesTarget || target.nonEmpty, s"${variant.name} requires the unlabeled target domain")
+    require(!usesSupport || support.nonEmpty, s"${variant.name} requires the labeled support set")
 
     val srcFeats = selFeats(source)
-    val tgtFeats = target.map(selFeats)
-    val supFeats = support.map(selFeats)
+    val tgtFeats = target.filter(_ => usesTarget).map(selFeats)
+    val sup = support.filter(_ => usesSupport)
     val ySrc = source.labelCol
-    val opt = new Adam(parameters, lr, weightDecay = weightDecay)
+    val trainer = new Trainer(parameters, lr, weightDecay)
     val epochRng = new Rng(seed * 31 + 17) // batch shuffling stream
-    val losses = Vector.newBuilder[Double]
 
-    // Per-epoch estimate sizes: the paper notes the target average may be
-    // computed over *batches* of the unlabeled data ("the unlabeled data
-    // could also come in batches", §4.4.1); a few hundred rows estimate a
-    // F-dim mean tightly and cut the per-epoch cost several-fold.
-    val EstimateRows = 400
+    /** Source rows `idx`: (attention, Eq. 8 loss). */
+    def baseLoss(idx: Array[Int]): (AD.V, AD.V) = {
+      val (g, s) = forward(srcFeats.map(_.rowsAt(idx)))
+      (g, Trainer.bce(s, ySrc.rowsAt(idx)))
+    }
 
-    for (_ <- 0 until epochs) {
-      // Eq. (10): attention averaged over (a batch of) D_T with *current*
-      // parameters, detached (Algorithm 1 line 5, before the batch loop).
-      val targetAvg: Option[Mat] = tgtFeats.map { tf =>
-        val n = tf.head.rows
-        val sub = if (n <= EstimateRows) tf
-          else { val idx = epochRng.sampleIndices(n, EstimateRows); tf.map(_.rowsAt(idx)) }
-        val (gT, _) = forward(sub) // value only; no backward through this tape
-        gT.v.colMean
-      }
+    Vector.fill(epochs) {
+      val targetAvg = tgtFeats.map(targetAverage(_, epochRng))
+      val supWeights = sup.map(supportWeights(source, srcFeats, _, epochRng))
 
-      // Eq. (11)-(12): centroids of source attention, support weights —
-      // estimated on a stratified source subsample for the same reason.
-      val supportWeights: Option[(Mat, Mat)] = supFeats.map { sf =>
-        val allPos = source.pairs.indices.filter(i => source.labels(i) == 1.0)
-        val allNeg = source.pairs.indices.filter(i => source.labels(i) == 0.0)
-        def sub(idx: Seq[Int]): Seq[Int] =
-          if (idx.size <= EstimateRows / 2) idx
-          else epochRng.shuffle(idx).take(EstimateRows / 2)
-        val srcIdx = (sub(allPos) ++ sub(allNeg)).toArray
-        val gS = forward(srcFeats.map(_.rowsAt(srcIdx)))._1.v
-        val pos = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 1.0)
-        val neg = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 0.0)
-        def centroid(idx: Seq[Int]): Array[Double] = {
-          val c = new Array[Double](numFeatures)
-          idx.foreach { i => var j = 0; while (j < numFeatures) { c(j) += gS(i, j); j += 1 } }
-          if (idx.nonEmpty) { var j = 0; while (j < numFeatures) { c(j) /= idx.size; j += 1 } }
-          c
+      // Mini-batch steps over D_S (line 7 of Algorithms 1-3): the loss is
+      // L_base, plus the λ-weighted KL to the epoch-frozen target average
+      // for Zero/Hyb (Eq. 9).
+      val (batchLoss, steps) = trainer.epoch(source.labels, batchSize, epochRng) { idx =>
+        val (gSrc, lBase) = baseLoss(idx)
+        targetAvg.fold(lBase) { t =>
+          AD.add(AD.scale(lBase, 1.0 - lambda), AD.scale(AD.klToConst(gSrc, t), lambda))
         }
-        val cPos = centroid(pos); val cNeg = centroid(neg)
-        def meanDist(idx: Seq[Int], c: Array[Double]): Double =
-          if (idx.isEmpty) 1.0
-          else math.max(idx.map(i => euclid(Array.tabulate(numFeatures)(gS(i, _)), c)).sum / idx.size, 1e-6)
-        val dPos = meanDist(pos, cPos); val dNeg = meanDist(neg, cNeg)
-        val gSup = forward(sf)._1.v
-        val sup = support.get
-        // Eq. (12) weights d/d̄, clipped: when the source attention collapses
-        // toward a point, d̄ -> 0 and unclipped ratios explode, making the
-        // support loss fit a handful of outliers (observed on Monitor).
-        val wts = Mat.colVec(Array.tabulate(sup.n) { i =>
-          if (!eq12Weights) 1.0
-          else {
-            val fi = Array.tabulate(numFeatures)(gSup(i, _))
-            val r = if (sup.labels(i) == 1.0) euclid(fi, cPos) / dPos else euclid(fi, cNeg) / dNeg
-            math.min(math.max(r, 0.1), 10.0)
-          }
-        })
-        (wts, sup.labelCol)
-      }
-
-      // Mini-batch steps over D_S (paper batch learning, §4.4.1 / line 7 of
-      // Algorithms 1-3): per-batch loss is L_base (Base/Few) or L_un
-      // (Zero/Hyb) with the epoch-frozen target average driving the KL.
-      // Batches are class-stratified (see Batching) against Monitor-style
-      // skew; weights inside a batch are therefore uniform.
-      var epochLoss = 0.0
-      var steps = 0
-      repro.er.Batching.balancedBatches(source.labels, batchSize, epochRng).foreach { idx =>
-        val feats = srcFeats.map(_.rowsAt(idx))
-        val (gSrc, sSrc) = forward(feats)
-        val lBase = AD.bceWithLogits(sSrc, ySrc.rowsAt(idx), Mat.fill(idx.length, 1, 1.0))
-        val loss = variant match {
-          case Variant.Base | Variant.Few => lBase
-          case Variant.Zero | Variant.Hyb =>
-            AD.add(AD.scale(lBase, 1.0 - lambda), AD.scale(AD.klToConst(gSrc, targetAvg.get), lambda))
-        }
-        opt.zeroGrad()
-        AD.backward(loss)
-        opt.step()
-        epochLoss += loss.scalar; steps += 1
       }
 
       // Support step ONCE per epoch, after the batch loop — exactly where
@@ -229,28 +161,74 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
       // cannot undo source learning. (Folding φ·L_support into every
       // mini-batch instead trains the 100 support pairs two orders of
       // magnitude harder than any source pair and anti-generalizes.)
-      supportWeights.foreach { case (wts, ySup) =>
+      val supportLoss = sup.zip(supWeights).map { case (s, wts) =>
         // Anchor batch sized to the support set, so the two CE terms in
         // L_ssl carry comparable evidence (a 16-row anchor against 100
         // support rows lets the support gradient dominate the step).
-        val anchorSize = math.max(batchSize, support.get.n)
-        val idx = repro.er.Batching.balancedBatches(source.labels, anchorSize, epochRng).head
-        val (_, sB) = forward(srcFeats.map(_.rowsAt(idx)))
-        val lB = AD.bceWithLogits(sB, ySrc.rowsAt(idx), Mat.fill(idx.length, 1, 1.0))
-        val (_, sSup) = forward(supFeats.get)
-        val lSsl = AD.add(lB, AD.scale(AD.bceWithLogits(sSup, ySup, wts), phi))
-        opt.zeroGrad()
-        AD.backward(lSsl)
-        opt.step()
-        epochLoss += lSsl.scalar
+        val anchor = Batching.balancedBatches(source.labels, math.max(batchSize, s.n), epochRng).head
+        val (_, lAnchor) = baseLoss(anchor)
+        val (_, sSup) = forward(selFeats(s))
+        trainer.step(AD.add(lAnchor, AD.scale(AD.bceWithLogits(sSup, s.labelCol, wts), phi)))
       }
-      losses += epochLoss / math.max(steps, 1)
+      (batchLoss + supportLoss.getOrElse(0.0)) / math.max(steps, 1)
     }
-    losses.result()
+  }
+
+  /** Eq. (10): attention averaged over D_T with the current parameters,
+    * detached (Algorithm 1 line 5, before the batch loop). The paper notes
+    * the target average may be computed over *batches* of the unlabeled data
+    * ("the unlabeled data could also come in batches", §4.4.1): at most
+    * [[AdaMEL.EstimateRows]] sampled rows estimate the F-dim mean tightly and
+    * cut the per-epoch cost several-fold. */
+  private def targetAverage(tf: Array[Mat], rng: Rng): Mat = {
+    val n = tf.head.rows
+    val rows = if (n <= AdaMEL.EstimateRows) tf
+      else { val idx = rng.sampleIndices(n, AdaMEL.EstimateRows); tf.map(_.rowsAt(idx)) }
+    forward(rows)._1.v.colMean // value only; no backward through this tape
+  }
+
+  /** Eq. (11)-(12): the support weights d/d̄ — each support pair's distance
+    * to the source attention centroid of its class over that class's mean
+    * distance. The centroids are estimated on a stratified sample of at most
+    * [[AdaMEL.EstimateRows]] source rows, for the same reason as
+    * [[targetAverage]]. */
+  private def supportWeights(source: PairBatch, srcFeats: Array[Mat], sup: PairBatch, rng: Rng): Mat = {
+    val allPos = source.pairs.indices.filter(i => source.labels(i) == 1.0)
+    val allNeg = source.pairs.indices.filter(i => source.labels(i) == 0.0)
+    def sample(idx: Seq[Int]): Seq[Int] =
+      if (idx.size <= AdaMEL.EstimateRows / 2) idx
+      else rng.shuffle(idx).take(AdaMEL.EstimateRows / 2)
+    val srcIdx = (sample(allPos) ++ sample(allNeg)).toArray
+    val gS = forward(srcFeats.map(_.rowsAt(srcIdx)))._1.v
+    val pos = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 1.0)
+    val neg = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 0.0)
+    def centroid(idx: Seq[Int]): Array[Double] = {
+      val c = new Array[Double](numFeatures)
+      idx.foreach { i => var j = 0; while (j < numFeatures) { c(j) += gS(i, j); j += 1 } }
+      if (idx.nonEmpty) { var j = 0; while (j < numFeatures) { c(j) /= idx.size; j += 1 } }
+      c
+    }
+    val cPos = centroid(pos); val cNeg = centroid(neg)
+    def meanDist(idx: Seq[Int], c: Array[Double]): Double =
+      if (idx.isEmpty) 1.0
+      else math.max(idx.map(i => euclid(Array.tabulate(numFeatures)(gS(i, _)), c)).sum / idx.size, 1e-6)
+    val dPos = meanDist(pos, cPos); val dNeg = meanDist(neg, cNeg)
+    val gSup = forward(selFeats(sup))._1.v
+    // Eq. (12) weights d/d̄, clipped: when the source attention collapses
+    // toward a point, d̄ -> 0 and unclipped ratios explode, making the
+    // support loss fit a handful of outliers (observed on Monitor).
+    Mat.colVec(Array.tabulate(sup.n) { i =>
+      val fi = Array.tabulate(numFeatures)(gSup(i, _))
+      val r = if (sup.labels(i) == 1.0) euclid(fi, cPos) / dPos else euclid(fi, cNeg) / dNeg
+      math.min(math.max(r, 0.1), 10.0)
+    })
   }
 }
 
 object AdaMEL {
+  /** Rows that estimate the per-epoch Eq. (10) and Eq. (11) statistics. */
+  private val EstimateRows = 400
+
   /** Convenience: build + fit in one call. */
   def fitted(config: AdaMELConfig, source: PairBatch,
              target: Option[PairBatch] = None, support: Option[PairBatch] = None): AdaMEL = {

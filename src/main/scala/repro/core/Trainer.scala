@@ -1,0 +1,52 @@
+package repro.core
+
+import repro.er.Batching
+import repro.linalg.{AD, Adam, Mat, Rng}
+
+/** The classifier head Θ: `relu(x·W1 + b1)·W2 + b2`, or the linear
+  * `x·W2 + b2` when `hidden = 0` (logistic regression). AdaMEL applies it to
+  * the gated features (Eq. 7); every baseline applies it to its own
+  * featurization. Weights are Glorot-initialised from `rng`, W1 before W2.
+  */
+final class Classifier(val inDim: Int, hidden: Int, rng: Rng) {
+  private val layer1 = if (hidden == 0) None
+    else Some((AD.leaf(Mat.glorot(inDim, hidden, rng)), AD.leaf(Mat.zeros(1, hidden))))
+  private val w2 = AD.leaf(Mat.glorot(if (hidden == 0) inDim else hidden, 1, rng))
+  private val b2 = AD.leaf(Mat.zeros(1, 1))
+
+  def parameters: Seq[AD.V] = layer1.toSeq.flatMap { case (w1, b1) => Seq(w1, b1) } ++ Seq(w2, b2)
+
+  /** N x 1 logits for N x inDim inputs. */
+  def apply(x: AD.V): AD.V = {
+    val h = layer1.fold(x) { case (w1, b1) => AD.relu(AD.addRowVec(AD.matmul(x, w1), b1)) }
+    AD.addRowVec(AD.matmul(h, w2), b2)
+  }
+}
+
+/** The one training loop of AdaMEL and the baselines: decoupled-weight-decay
+  * Adam over a fixed parameter set, stepped on class-stratified mini-batches
+  * (see [[Batching]]).
+  */
+final class Trainer(params: Seq[AD.V], lr: Double, weightDecay: Double) {
+  private val opt = new Adam(params, lr, weightDecay = weightDecay)
+
+  /** One optimizer step on `loss`; returns its value. */
+  def step(loss: AD.V): Double = {
+    opt.zeroGrad()
+    AD.backward(loss)
+    opt.step()
+    loss.scalar
+  }
+
+  /** One epoch: a step on `loss(idx)` for each balanced batch `idx` of
+    * `labels`, drawn from `rng`. Returns the summed loss and the step count. */
+  def epoch(labels: Array[Double], batchSize: Int, rng: Rng)(loss: Array[Int] => AD.V): (Double, Int) = {
+    val batches = Batching.balancedBatches(labels, batchSize, rng)
+    (batches.map(idx => step(loss(idx))).sum, batches.size)
+  }
+}
+
+object Trainer {
+  /** Eq. (8): unweighted mean binary cross-entropy of logits against labels. */
+  def bce(logits: AD.V, y: Mat): AD.V = AD.bceWithLogits(logits, y, Mat.fill(y.rows, 1, 1.0))
+}

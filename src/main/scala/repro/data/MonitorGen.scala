@@ -55,7 +55,6 @@ object MonitorGen {
     "viewsonic", "hp", "philips", "aoc", "nec", "eizo")
   private val resolutions = Vector("fullhd", "hd", "qhd", "uhd", "4k", "wqhd")
   private val prodTypesSeen = Vector("monitor", "display", "lcd")
-  private val conditions = Vector("new", "used")
   private val portsVals = Vector("hdmi", "vga", "dvi", "displayport", "usbc")
   private val panels = Vector("ips", "va", "tn", "oled")
   private val colors = Vector("black", "white", "silver", "gray")
@@ -137,7 +136,7 @@ object MonitorGen {
           // gets any target-domain supervision can exploit them; a
           // supervised-only model cannot. A pure per-listing coin flip here
           // would instead be a memorization key that poisons the shared
-          // attention (see EXPERIMENTS.md, Monitor calibration).
+          // attention (DESIGN.md §5, local deviations).
           // High presence in the target domain: these are spec-table fields
           // on the unseen sites. Low presence would turn their `uni`
           // features into which-side-listed-it noise.

@@ -31,6 +31,14 @@ final case class MELSplits(train: DataFrame, support: DataFrame,
 
 object Scenarios {
 
+  /** (positive pairs, hard + random negative pairs) of a record pool. */
+  private def pools(records: DataFrame, cfg: ScenarioConfig): (DataFrame, DataFrame) = {
+    val pos = Pairing.positives(records)
+    val hard = Pairing.hardNegatives(records, cfg.blockAttr, cfg.maxBlockSize)
+    val rand = Pairing.randomNegatives(records, cfg.seed * 31 + 5)
+    (pos, hard.unionByName(rand).dropDuplicates("id1", "id2"))
+  }
+
   def build(records: DataFrame, seenSources: Set[String], cfg: ScenarioConfig): MELSplits =
     buildSplit(records, records, seenSources, cfg)
 
@@ -41,23 +49,17 @@ object Scenarios {
     * The two pools must share the record universe (same ids/sources). */
   def buildSplit(trainRecords: DataFrame, evalRecords: DataFrame,
                  seenSources: Set[String], cfg: ScenarioConfig): MELSplits = {
-    def pools(records: DataFrame): (DataFrame, DataFrame) = {
-      val pos = Pairing.positives(records)
-      val hard = Pairing.hardNegatives(records, cfg.blockAttr, cfg.maxBlockSize)
-      val rand = Pairing.randomNegatives(records, cfg.seed * 31 + 5)
-      (pos, hard.unionByName(rand).dropDuplicates("id1", "id2"))
-    }
     val seen1 = F.col("src1").isin(seenSources.toSeq: _*)
     val seen2 = F.col("src2").isin(seenSources.toSeq: _*)
     val inSource = seen1 && seen2
     val inTarget = if (cfg.disjoint) !seen1 && !seen2 else !seen1 || !seen2
 
-    val (trainPosPool, trainNegPool) = pools(trainRecords)
+    val (trainPosPool, trainNegPool) = pools(trainRecords, cfg)
     val trainPos = Pairing.sample(trainPosPool.where(inSource), cfg.nTrainPos, cfg.seed + 1)
     val trainNeg = Pairing.sample(trainNegPool.where(inSource), cfg.nTrainNeg, cfg.seed + 2)
     val train = Pairing.finalizePairs(Seq(trainPos, trainNeg))
 
-    val (pos, neg) = pools(evalRecords)
+    val (pos, neg) = pools(evalRecords, cfg)
 
     val tgtPos = pos.where(inTarget)
     val tgtNeg = neg.where(inTarget)
@@ -87,10 +89,7 @@ object Scenarios {
     * distribution. (This is the "no C1-C3" control the paper uses to expose
     * AdaMEL's limitation, §5.7.2.) */
   def buildSingleDomain(records: DataFrame, cfg: ScenarioConfig): MELSplits = {
-    val pos = Pairing.positives(records)
-    val hard = Pairing.hardNegatives(records, cfg.blockAttr, cfg.maxBlockSize)
-    val rand = Pairing.randomNegatives(records, cfg.seed * 31 + 5)
-    val neg = hard.unionByName(rand).dropDuplicates("id1", "id2")
+    val (pos, neg) = pools(records, cfg)
     val key = Seq("id1", "id2")
 
     val testPos = Pairing.sample(pos, cfg.nTestPos, cfg.seed + 3)

@@ -14,7 +14,7 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * Blocking key = first token of a chosen attribute. Oversized blocks
   * (frequent head tokens) are dropped, the usual guard against quadratic
   * blow-up. Candidate generation is a distributed self-join on the key and
-  * is Oracle-checked against DuckDB in `BlockingSpec`.
+  * is Oracle-checked against DuckDB in `BlockingPairingSpec`.
   */
 object Blocking {
 

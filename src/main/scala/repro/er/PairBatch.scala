@@ -54,16 +54,6 @@ final case class PairBatch(attrs: Vector[String], dim: Int, pairs: Array[PairDat
 
   def labelCol: Mat = Mat.colVec(labels)
 
-  /** Class-balanced BCE weights: positives and negatives contribute equally
-    * to the loss regardless of skew. Needed because datasets like Monitor
-    * are >95% negative (paper §5.1) and every trainer here is full-batch. */
-  def classWeightCol: Mat = {
-    val nPos = math.max(labels.count(_ == 1.0), 1)
-    val nNeg = math.max(labels.count(_ == 0.0), 1)
-    Mat.colVec(labels.map(l =>
-      if (l == 1.0) n.toDouble / (2.0 * nPos) else n.toDouble / (2.0 * nNeg)))
-  }
-
   def isLabeled: Boolean = pairs.forall(_.label >= 0.0)
 
   def subset(idx: Array[Int]): PairBatch = PairBatch(attrs, dim, idx.map(pairs))

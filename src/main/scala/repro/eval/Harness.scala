@@ -54,17 +54,8 @@ object MethodRunner {
 
   def adamel(cfg: AdaMELConfig): MethodRunner = new MethodRunner {
     val name: String = cfg.variant.name
-    def run(data: MELData): Array[Double] = {
-      val target = cfg.variant match {
-        case Variant.Zero | Variant.Hyb => Some(data.target)
-        case _ => None
-      }
-      val support = cfg.variant match {
-        case Variant.Few | Variant.Hyb => Some(data.support)
-        case _ => None
-      }
-      AdaMEL.fitted(cfg, data.train, target, support).scores(data.test)
-    }
+    def run(data: MELData): Array[Double] =
+      AdaMEL.fitted(cfg, data.train, Some(data.target), Some(data.support)).scores(data.test)
   }
 }
 

@@ -10,10 +10,13 @@ object Metrics {
     * descending *distinct* score thresholds. Tie-aware: all items with an
     * equal score enter at one threshold (saturated sigmoids produce exact
     * 1.0/0.0 ties; breaking them by input order would reward or punish
-    * arbitrary ordering).
+    * arbitrary ordering). Scores must be finite: a diverged fit's NaN
+    * scores would otherwise form one tie group and yield a plausible AP.
     */
   def prauc(scores: Array[Double], labels: Array[Double]): Double = {
     require(scores.length == labels.length, "prauc length mismatch")
+    val bad = scores.indexWhere(s => s.isNaN || s.isInfinite)
+    require(bad < 0, s"prauc: non-finite score ${scores(bad)} at index $bad")
     val nPos = labels.count(_ == 1.0)
     if (nPos == 0) return 0.0
     val byScore = scores.indices.groupBy(scores(_)).toSeq.sortBy(-_._1)

@@ -9,8 +9,9 @@ import scala.collection.mutable.ArrayBuffer
   * parents' gradient buffers. Call [[AD.backward]] on a scalar (1x1) node to
   * populate `grad` on every upstream node.
   *
-  * The op set is exactly what the AdaMEL losses and the baseline MLPs need;
-  * each op's gradient is finite-difference-checked in `ADSpec`.
+  * The op set is what the AdaMEL losses and the baseline MLPs need, plus
+  * `mul` and `sumAll`, the weighting and the reducer of the
+  * finite-difference checks in `ADSpec` that gate every op's gradient.
   */
 object AD {
 
@@ -22,9 +23,6 @@ object AD {
   /** Leaf node (parameter or input). Gradients accumulate here. */
   def leaf(m: Mat): V = new V(m, Nil, _ => ())
 
-  /** Constant: a leaf whose gradient is computed but unused by the optimizer. */
-  def const(m: Mat): V = leaf(m)
-
   def matmul(a: V, b: V): V = new V(a.v %*% b.v, Seq(a, b), { out =>
     a.grad.addInPlace(out.grad %*% b.v.t)
     b.grad.addInPlace(a.v.t %*% out.grad)
@@ -32,10 +30,6 @@ object AD {
 
   def add(a: V, b: V): V = new V(a.v + b.v, Seq(a, b), { out =>
     a.grad.addInPlace(out.grad); b.grad.addInPlace(out.grad)
-  })
-
-  def sub(a: V, b: V): V = new V(a.v - b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad); b.grad.addInPlace(out.grad * -1.0)
   })
 
   def mul(a: V, b: V): V = new V(a.v * b.v, Seq(a, b), { out =>
@@ -64,15 +58,6 @@ object AD {
     val y = a.v.map(math.tanh)
     new V(y, Seq(a), out => a.grad.addInPlace(out.grad.zip(y)((g, t) => g * (1.0 - t * t))))
   }
-
-  def sigmoid(a: V): V = {
-    val y = a.v.map(x => 1.0 / (1.0 + math.exp(-x)))
-    new V(y, Seq(a), out => a.grad.addInPlace(out.grad.zip(y)((g, s) => g * s * (1.0 - s))))
-  }
-
-  def log(a: V, eps: Double = 1e-12): V =
-    new V(a.v.map(x => math.log(x + eps)), Seq(a),
-      out => a.grad.addInPlace(out.grad.zip(a.v)((g, x) => g / (x + eps))))
 
   /** Row-wise softmax of an N x F matrix. */
   def softmaxRows(a: V): V = {
@@ -120,8 +105,6 @@ object AD {
       a.grad.addInPlace(g)
     })
   }
-
-  def mean(a: V): V = scale(sumAll(a), 1.0 / a.v.size)
 
   def hcat(parts: Seq[V]): V = {
     val value = parts.map(_.v).reduce(_ hcat _)

@@ -146,12 +146,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     new Mat(rows, cols + that.cols, out)
   }
 
-  def row(r: Int): Mat = {
-    val out = new Array[Double](cols)
-    System.arraycopy(data, r * cols, out, 0, cols)
-    new Mat(1, cols, out)
-  }
-
   /** Select a subset of rows (used for mini-batching). */
   def rowsAt(idx: Array[Int]): Mat = {
     val out = new Array[Double](idx.length * cols)
@@ -162,8 +156,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     }
     new Mat(idx.length, cols, out)
   }
-
-  def frobenius: Double = math.sqrt(data.foldLeft(0.0)((s, x) => s + x * x))
 
   def approxEquals(that: Mat, tol: Double = 1e-9): Boolean =
     rows == that.rows && cols == that.cols &&
@@ -204,5 +196,4 @@ object Mat {
   }
 
   def colVec(vals: Array[Double]): Mat = new Mat(vals.length, 1, vals.clone())
-  def rowVec(vals: Array[Double]): Mat = new Mat(1, vals.length, vals.clone())
 }

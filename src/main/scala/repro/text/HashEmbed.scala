@@ -72,12 +72,4 @@ object HashEmbed extends Serializable {
       while (i < dim) { s(i) *= inv; i += 1 }
       s
     }
-
-  /** Cosine similarity of two token embeddings (token-level alignment in
-    * EntityMatcherLite). */
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
 }

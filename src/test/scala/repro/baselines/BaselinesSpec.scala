@@ -33,6 +33,14 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("scoring an empty batch gives no scores") {
+    val empty = test.subset(Array.empty[Int])
+    allMatchers.foreach { m =>
+      m.fit(train)
+      assert(m.scores(empty).isEmpty, m.name)
+    }
+  }
+
   test("scoring before fit fails") {
     intercept[IllegalArgumentException](new TLER(1).scores(test))
   }

@@ -27,6 +27,11 @@ class AdaMELSpec extends AnyFunSuite {
     assert(m.scores(test).forall(s => s > 0 && s < 1))
   }
 
+  test("scoring an empty batch gives no scores") {
+    val m = AdaMEL.fitted(cfg(Variant.Base, 1), train)
+    assert(m.scores(test.subset(Array.empty[Int])).isEmpty)
+  }
+
   test("base loss decreases during training (Eq. 8)") {
     val m = new AdaMEL(cfg(Variant.Base), dim, train.featureNames)
     val losses = m.fit(train)

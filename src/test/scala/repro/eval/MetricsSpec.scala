@@ -57,6 +57,15 @@ class MetricsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Metrics.prauc(Array(1.0), Array(1.0, 0.0)))
   }
 
+  test("PRAUC rejects non-finite scores and names the first bad index") {
+    val nan = intercept[IllegalArgumentException](
+      Metrics.prauc(Array(Double.NaN, Double.NaN, Double.NaN), Array(1.0, 0.0, 0.0)))
+    assert(nan.getMessage.contains("index 0"), nan.getMessage)
+    val inf = intercept[IllegalArgumentException](
+      Metrics.prauc(Array(0.5, Double.PositiveInfinity, Double.NaN), Array(1.0, 0.0, 0.0)))
+    assert(inf.getMessage.contains("index 1"), inf.getMessage)
+  }
+
   test("PRAUC handles ties as a single threshold group") {
     // Two positives and two negatives all tied: P=0.5 at R=1.
     assert(math.abs(Metrics.prauc(Array(1.0, 1.0, 1.0, 1.0), Array(1.0, 0.0, 1.0, 0.0)) - 0.5) < 1e-12)

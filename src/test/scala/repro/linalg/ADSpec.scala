@@ -51,15 +51,9 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("grad: add") {
-    val w = AD.const(randMat(3, 2))
+    val w = AD.leaf(randMat(3, 2))
     gradCheck(leaves(randMat(3, 2), randMat(3, 2)),
       ls => AD.sumAll(AD.mul(AD.add(ls(0), ls(1)), w)))
-  }
-
-  test("grad: sub") {
-    val w = AD.const(randMat(3, 2))
-    gradCheck(leaves(randMat(3, 2), randMat(3, 2)),
-      ls => AD.sumAll(AD.mul(AD.sub(ls(0), ls(1)), w)))
   }
 
   test("grad: mul (Hadamard)") {
@@ -75,7 +69,7 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("grad: matmul with downstream weighting") {
-    val w = AD.const(randMat(3, 2))
+    val w = AD.leaf(randMat(3, 2))
     gradCheck(leaves(randMat(3, 4), randMat(4, 2)),
       ls => AD.sumAll(AD.mul(AD.matmul(ls(0), ls(1)), w)))
   }
@@ -99,17 +93,8 @@ class ADSpec extends AnyFunSuite {
     gradCheck(leaves(randMat(3, 3)), ls => AD.sumAll(AD.tanh(ls(0))))
   }
 
-  test("grad: sigmoid") {
-    gradCheck(leaves(randMat(3, 3)), ls => AD.sumAll(AD.sigmoid(ls(0))))
-  }
-
-  test("grad: log") {
-    val m = randMat(3, 3).map(x => math.abs(x) + 0.5)
-    gradCheck(leaves(m), ls => AD.sumAll(AD.log(ls(0))))
-  }
-
   test("grad: softmaxRows") {
-    val w = AD.const(randMat(3, 4))
+    val w = AD.leaf(randMat(3, 4))
     gradCheck(leaves(randMat(3, 4)), ls => AD.sumAll(AD.mul(AD.softmaxRows(ls(0)), w)))
   }
 
@@ -129,10 +114,6 @@ class ADSpec extends AnyFunSuite {
   test("grad: hcat") {
     gradCheck(leaves(randMat(3, 2), randMat(3, 4), randMat(3, 1)),
       ls => AD.sumAll(AD.tanh(AD.hcat(ls.toIndexedSeq))))
-  }
-
-  test("grad: mean") {
-    gradCheck(leaves(randMat(4, 5)), ls => AD.mean(AD.mul(ls(0), ls(0))))
   }
 
   test("grad: bceWithLogits") {
@@ -170,13 +151,13 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("klToConst is zero when rows equal the target") {
-    val target = Mat.rowVec(Array(0.25, 0.25, 0.25, 0.25))
+    val target = Mat(1, 4)(0.25, 0.25, 0.25, 0.25)
     val g = AD.leaf(Mat.fill(3, 4, 0.25))
     assert(math.abs(AD.klToConst(g, target).scalar) < 1e-9)
   }
 
   test("klToConst is positive when rows differ from the target") {
-    val target = Mat.rowVec(Array(0.7, 0.1, 0.1, 0.1))
+    val target = Mat(1, 4)(0.7, 0.1, 0.1, 0.1)
     val g = AD.leaf(Mat.fill(3, 4, 0.25))
     assert(AD.klToConst(g, target).scalar > 0.01)
   }
@@ -184,7 +165,7 @@ class ADSpec extends AnyFunSuite {
   test("grad flows through a full 2-layer MLP with BCE") {
     val y = Mat.colVec(Array(1.0, 0.0, 1.0, 1.0, 0.0))
     val ones = Mat.fill(5, 1, 1.0)
-    val x = AD.const(randMat(5, 6))
+    val x = AD.leaf(randMat(5, 6))
     gradCheck(leaves(randMat(6, 4), randMat(1, 4), randMat(4, 1), randMat(1, 1)), ls => {
       val h = AD.tanh(AD.addRowVec(AD.matmul(x, ls(0)), ls(1)))
       AD.bceWithLogits(AD.addRowVec(AD.matmul(h, ls(2)), ls(3)), y, ones)
@@ -194,7 +175,7 @@ class ADSpec extends AnyFunSuite {
   test("grad flows through an AdaMEL-shaped attention composite") {
     // 2 features, tiny dims: x_j = tanh(H_j V_j), e_j = tanh(x_j W) a,
     // g = softmax, z = g_j * x_j, loss = BCE(MLP(z)).
-    val h1 = AD.const(randMat(4, 3)); val h2 = AD.const(randMat(4, 3))
+    val h1 = AD.leaf(randMat(4, 3)); val h2 = AD.leaf(randMat(4, 3))
     val y = Mat.colVec(Array(1.0, 0.0, 0.0, 1.0))
     val ones = Mat.fill(4, 1, 1.0)
     gradCheck(

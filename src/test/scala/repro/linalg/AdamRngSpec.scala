@@ -63,7 +63,7 @@ class AdamRngSpec extends AnyFunSuite {
     val x = AD.leaf(Mat.zeros(1, 3))
     val opt = new Adam(Seq(x), lr = 0.05)
     for (_ <- 0 until 500) {
-      val diff = AD.sub(x, AD.const(c))
+      val diff = AD.add(x, AD.scale(AD.leaf(c), -1.0))
       val loss = AD.sumAll(AD.mul(diff, diff))
       opt.zeroGrad(); AD.backward(loss); opt.step()
     }
@@ -82,7 +82,7 @@ class AdamRngSpec extends AnyFunSuite {
     val opt = new Adam(Seq(w, b), lr = 0.1)
     var last = Double.MaxValue
     for (_ <- 0 until 300) {
-      val loss = AD.bceWithLogits(AD.addRowVec(AD.matmul(AD.const(xs), w), b), y, ones)
+      val loss = AD.bceWithLogits(AD.addRowVec(AD.matmul(AD.leaf(xs), w), b), y, ones)
       last = loss.scalar
       opt.zeroGrad(); AD.backward(loss); opt.step()
     }

@@ -87,7 +87,7 @@ class MatSpec extends AnyFunSuite {
 
   test("addRowVec broadcasts to each row") {
     val a = Mat(2, 3)(1, 1, 1, 2, 2, 2)
-    val v = Mat.rowVec(Array(10.0, 20, 30))
+    val v = Mat(1, 3)(10, 20, 30)
     assert(a.addRowVec(v).approxEquals(Mat(2, 3)(11, 21, 31, 12, 22, 32)))
   }
 
@@ -115,11 +115,6 @@ class MatSpec extends AnyFunSuite {
     assert(h.cols == 3 && h(0, 2) == 9 && h(1, 2) == 10 && h(1, 1) == 4)
   }
 
-  test("row extracts a single row") {
-    val a = Mat(2, 3)(1, 2, 3, 4, 5, 6)
-    assert(a.row(1).approxEquals(Mat.rowVec(Array(4.0, 5, 6))))
-  }
-
   test("rowsAt selects and reorders") {
     val a = Mat(3, 2)(1, 2, 3, 4, 5, 6)
     val s = a.rowsAt(Array(2, 0))
@@ -129,10 +124,6 @@ class MatSpec extends AnyFunSuite {
   test("map applies elementwise") {
     val a = Mat(1, 3)(1, -2, 3)
     assert(a.map(math.abs).approxEquals(Mat(1, 3)(1, 2, 3)))
-  }
-
-  test("frobenius norm of known matrix") {
-    assert(math.abs(Mat(1, 2)(3, 4).frobenius - 5.0) < 1e-12)
   }
 
   test("glorot init is within the glorot bound and deterministic in seed") {
