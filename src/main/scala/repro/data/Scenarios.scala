@@ -3,16 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.er.Pairing
 
-/** Assembles the four pair DataFrames of a MEL experiment (paper §5.2 setup)
-  * from a record DataFrame and a seen-source set.
-  *
-  * Overlapping scenario (S1): target pairs have at least one record from an
-  * unseen source (the paper tests "on all sources" with pairs in
-  * D_S* x D_T*). Disjoint scenario (S2): both records are from unseen
-  * sources (D_T* x D_T*).
-  *
-  * All sampling is hash-ordered and therefore deterministic in `seed`.
-  */
+/** Sizes, scenario kind and seed of the splits [[Scenarios]] builds. */
 final case class ScenarioConfig(
     nTrainPos: Int = 150,
     nTrainNeg: Int = 300,
@@ -29,42 +20,70 @@ final case class ScenarioConfig(
 final case class MELSplits(train: DataFrame, support: DataFrame,
                            target: DataFrame, test: DataFrame)
 
+/** Assembles the four pair DataFrames of a MEL experiment (paper §5.2 setup)
+  * from a record DataFrame and a seen-source set.
+  *
+  * Overlapping scenario (S1): target pairs have at least one record from an
+  * unseen source (the paper tests "on all sources" with pairs in
+  * D_S* x D_T*). Disjoint scenario (S2): both records are from unseen
+  * sources (D_T* x D_T*).
+  *
+  * All sampling is hash-ordered and therefore deterministic in `seed`.
+  *
+  * The builders run Spark jobs when called: each record pool's positive and
+  * negative pair pools, and every sample that more than one split reads, are
+  * materialized once (`localCheckpoint`) so the four splits share them
+  * instead of each re-deriving the blocking joins and windows. The rest of
+  * each split (its remaining samples and the `pair_id` numbering) runs when
+  * the split is collected.
+  */
 object Scenarios {
 
-  /** (positive pairs, hard + random negative pairs) of a record pool. */
-  private def pools(records: DataFrame, cfg: ScenarioConfig): (DataFrame, DataFrame) = {
+  /** A record pool's positive pairs and hard + random negative pairs. */
+  private final case class Pools(pos: DataFrame, neg: DataFrame)
+
+  /** Derives both pools of `records` and materializes them, truncating their
+    * lineage so every split reads them without re-running the joins. */
+  private def pools(records: DataFrame, cfg: ScenarioConfig): Pools = {
     val pos = Pairing.positives(records)
     val hard = Pairing.hardNegatives(records, cfg.blockAttr, cfg.maxBlockSize)
     val rand = Pairing.randomNegatives(records, cfg.seed * 31 + 5)
-    (pos, hard.unionByName(rand).dropDuplicates("id1", "id2"))
+    Pools(pos.localCheckpoint(), hard.unionByName(rand).dropDuplicates("id1", "id2").localCheckpoint())
   }
 
-  def build(records: DataFrame, seenSources: Set[String], cfg: ScenarioConfig): MELSplits =
-    buildSplit(records, records, seenSources, cfg)
+  /** Builds the splits from one record pool; runs the Spark jobs that
+    * materialize its pair pools and test samples. */
+  def build(records: DataFrame, seenSources: Set[String], cfg: ScenarioConfig): MELSplits = {
+    val p = pools(records, cfg)
+    splits(p, p, seenSources, cfg)
+  }
 
   /** Variant with distinct record pools: `trainRecords` supplies the labeled
     * source-domain pairs (e.g. the weakly-labeled Music-1M corpus), while
     * support/target/test come from `evalRecords` (the clean labels) — the
     * paper's "Music-1M shares the same testing set as Music-3K" protocol.
-    * The two pools must share the record universe (same ids/sources). */
+    * The two pools must share the record universe (same ids/sources). Runs
+    * the Spark jobs that materialize both pools' pairs and the test samples. */
   def buildSplit(trainRecords: DataFrame, evalRecords: DataFrame,
-                 seenSources: Set[String], cfg: ScenarioConfig): MELSplits = {
+                 seenSources: Set[String], cfg: ScenarioConfig): MELSplits =
+    splits(pools(trainRecords, cfg), pools(evalRecords, cfg), seenSources, cfg)
+
+  private def splits(trainPools: Pools, evalPools: Pools,
+                     seenSources: Set[String], cfg: ScenarioConfig): MELSplits = {
     val seen1 = F.col("src1").isin(seenSources.toSeq: _*)
     val seen2 = F.col("src2").isin(seenSources.toSeq: _*)
     val inSource = seen1 && seen2
     val inTarget = if (cfg.disjoint) !seen1 && !seen2 else !seen1 || !seen2
 
-    val (trainPosPool, trainNegPool) = pools(trainRecords, cfg)
-    val trainPos = Pairing.sample(trainPosPool.where(inSource), cfg.nTrainPos, cfg.seed + 1)
-    val trainNeg = Pairing.sample(trainNegPool.where(inSource), cfg.nTrainNeg, cfg.seed + 2)
+    val trainPos = Pairing.sample(trainPools.pos.where(inSource), cfg.nTrainPos, cfg.seed + 1)
+    val trainNeg = Pairing.sample(trainPools.neg.where(inSource), cfg.nTrainNeg, cfg.seed + 2)
     val train = Pairing.finalizePairs(Seq(trainPos, trainNeg))
 
-    val (pos, neg) = pools(evalRecords, cfg)
-
-    val tgtPos = pos.where(inTarget)
-    val tgtNeg = neg.where(inTarget)
-    val testPos = Pairing.sample(tgtPos, cfg.nTestPos, cfg.seed + 3)
-    val testNeg = Pairing.sample(tgtNeg, cfg.nTestNeg, cfg.seed + 4)
+    val tgtPos = evalPools.pos.where(inTarget)
+    val tgtNeg = evalPools.neg.where(inTarget)
+    // test, the support anti-joins and target all read the test samples
+    val testPos = Pairing.sample(tgtPos, cfg.nTestPos, cfg.seed + 3).localCheckpoint()
+    val testNeg = Pairing.sample(tgtNeg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
     val key = Seq("id1", "id2")
@@ -87,19 +106,22 @@ object Scenarios {
     * source, so train/support/test are disjoint samples of the same
     * two-catalog pair pool, and the target domain is the unlabeled test
     * distribution. (This is the "no C1-C3" control the paper uses to expose
-    * AdaMEL's limitation, §5.7.2.) */
+    * AdaMEL's limitation, §5.7.2.) Runs the Spark jobs that materialize the
+    * pools and the test and support samples. */
   def buildSingleDomain(records: DataFrame, cfg: ScenarioConfig): MELSplits = {
-    val (pos, neg) = pools(records, cfg)
+    val Pools(pos, neg) = pools(records, cfg)
     val key = Seq("id1", "id2")
 
-    val testPos = Pairing.sample(pos, cfg.nTestPos, cfg.seed + 3)
-    val testNeg = Pairing.sample(neg, cfg.nTestNeg, cfg.seed + 4)
+    // test, the anti-joins and target read the test samples; support and
+    // the train anti-joins read the support samples
+    val testPos = Pairing.sample(pos, cfg.nTestPos, cfg.seed + 3).localCheckpoint()
+    val testNeg = Pairing.sample(neg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
     val remPos = pos.join(testPos.select(key.map(F.col): _*), key, "left_anti")
     val remNeg = neg.join(testNeg.select(key.map(F.col): _*), key, "left_anti")
-    val supPos = Pairing.sample(remPos, cfg.nSupport / 2, cfg.seed + 5)
-    val supNeg = Pairing.sample(remNeg, cfg.nSupport / 2, cfg.seed + 6)
+    val supPos = Pairing.sample(remPos, cfg.nSupport / 2, cfg.seed + 5).localCheckpoint()
+    val supNeg = Pairing.sample(remNeg, cfg.nSupport / 2, cfg.seed + 6).localCheckpoint()
     val support = Pairing.finalizePairs(Seq(supPos, supNeg))
 
     val trainPos = Pairing.sample(

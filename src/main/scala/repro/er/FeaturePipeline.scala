@@ -1,8 +1,10 @@
 package repro.er
 
 import org.apache.spark.sql.{DataFrame, functions => F}
-import org.apache.spark.sql.expressions.UserDefinedFunction
 import repro.text.{HashEmbed, Tokenizer}
+
+/** One pair's per-attribute token sets and its flat F x D feature vector. */
+final case class PairRow(toks1: Seq[Seq[String]], toks2: Seq[Seq[String]], features: Array[Double])
 
 /** The distributed feature dataflow (paper §4.2, Fig. 3).
   *
@@ -11,11 +13,12 @@ import repro.text.{HashEmbed, Tokenizer}
   * a1: map<string,string>, a2: map<string,string>`
   * (label = -1 marks unlabeled target-domain pairs).
   *
-  * For every attribute `A` in the aligned schema, the pipeline
+  * Each pair row takes one pass through [[pairRow]], a plain Scala function
+  * run as one UDF over `(a1, a2)`. For every attribute `A` in the aligned
+  * schema it
   *   1. tokenizes both values (lowercase, alnum split, crop 20 — Tokenizer),
   *   2. computes the contrastive token sets `sim(A) = t1 ∩ t2` and
-  *      `uni(A) = (t1 ∪ t2) − (t1 ∩ t2)` via `array_intersect`/`array_except`
-  *      (Eq. 2),
+  *      `uni(A) = (t1 ∪ t2) − (t1 ∩ t2)` ([[contrast]], Eq. 2),
   *   3. reduces each token set to the sum of hashed token embeddings, with
   *      the fixed normalized non-zero vector for empty sets (Eq. 3, §4.3).
   *
@@ -25,40 +28,43 @@ import repro.text.{HashEmbed, Tokenizer}
   */
 object FeaturePipeline {
 
-  val PairColumns = Seq("pair_id", "label", "src1", "src2", "a1", "a2")
-
-  private def tokenizeUdf: UserDefinedFunction =
-    F.udf((s: String) => Tokenizer.tokenSet(Option(s).getOrElse("")))
-
-  private def embedSumUdf(dim: Int): UserDefinedFunction =
-    F.udf((ts: Seq[String]) => HashEmbed.embedSum(Option(ts).getOrElse(Seq.empty), dim))
-
-  /** Adds per-attribute token columns `t1_<i>`, `t2_<i>`, `sim_<i>`, `uni_<i>`. */
-  def withTokenColumns(pairs: DataFrame, attrs: Seq[String]): DataFrame = {
-    val tok = tokenizeUdf
-    attrs.zipWithIndex.foldLeft(pairs) { case (df, (attr, i)) =>
-      val t1 = tok(F.col("a1").getItem(attr))
-      val t2 = tok(F.col("a2").getItem(attr))
-      df.withColumn(s"t1_$i", t1)
-        .withColumn(s"t2_$i", t2)
-        .withColumn(s"sim_$i", F.array_intersect(F.col(s"t1_$i"), F.col(s"t2_$i")))
-        .withColumn(s"uni_$i",
-          F.array_union(
-            F.array_except(F.col(s"t1_$i"), F.col(s"t2_$i")),
-            F.array_except(F.col(s"t2_$i"), F.col(s"t1_$i"))))
-    }
+  /** Eq. 2 for one attribute's distinct token sequences: `sim` holds the
+    * tokens of `t1` that are in `t2`, in `t1` order; `uni` holds the
+    * `t1`-only tokens in `t1` order, then the `t2`-only tokens in `t2` order.
+    * This is the order Spark's `array_intersect` and
+    * `array_union(array_except, array_except)` give, and it fixes the
+    * summation order of the embeddings, hence the feature bits. */
+  def contrast(t1: Seq[String], t2: Seq[String]): (Seq[String], Seq[String]) = {
+    val in1 = t1.toSet
+    val (sim, only1) = t1.partition(t2.toSet)
+    (sim, only1 ++ t2.filterNot(in1))
   }
 
-  /** Full feature DataFrame: adds `features: array<double>` of length 2|A|*D
-    * (feature-major: sim(A_1), uni(A_1), sim(A_2), ...) plus token arrays. */
+  /** One pair row: both records' token sets per attribute and the features
+    * `[sim(A_1), uni(A_1), sim(A_2), ...]`, each D-dim slot the
+    * [[HashEmbed.embedSum]] of its token set. A missing attribute tokenizes
+    * to the empty set. */
+  def pairRow(a1: scala.collection.Map[String, String], a2: scala.collection.Map[String, String],
+              attrs: Seq[String], dim: Int): PairRow = {
+    val toks1 = attrs.map(a => Tokenizer.tokenSet(a1.getOrElse(a, null)))
+    val toks2 = attrs.map(a => Tokenizer.tokenSet(a2.getOrElse(a, null)))
+    val features = new Array[Double](2 * attrs.length * dim)
+    attrs.indices.foreach { i =>
+      val (sim, uni) = contrast(toks1(i), toks2(i))
+      System.arraycopy(HashEmbed.embedSum(sim, dim), 0, features, 2 * i * dim, dim)
+      System.arraycopy(HashEmbed.embedSum(uni, dim), 0, features, (2 * i + 1) * dim, dim)
+    }
+    PairRow(toks1, toks2, features)
+  }
+
+  /** Full feature DataFrame: `pair_id, label, src1, src2`, the token arrays
+    * `toks1`, `toks2` and `features: array<double>` of length 2|A|*D. */
   def features(pairs: DataFrame, attrs: Seq[String], dim: Int = HashEmbed.DefaultDim): DataFrame = {
-    val emb = embedSumUdf(dim)
-    val withToks = withTokenColumns(pairs, attrs)
-    val featCols = attrs.indices.flatMap(i => Seq(emb(F.col(s"sim_$i")), emb(F.col(s"uni_$i"))))
-    withToks.withColumn("features", F.flatten(F.array(featCols: _*)))
-      .withColumn("toks1", F.array(attrs.indices.map(i => F.col(s"t1_$i")): _*))
-      .withColumn("toks2", F.array(attrs.indices.map(i => F.col(s"t2_$i")): _*))
-      .select("pair_id", "label", "src1", "src2", "toks1", "toks2", "features")
+    val row = F.udf((a1: scala.collection.Map[String, String], a2: scala.collection.Map[String, String]) =>
+      pairRow(a1, a2, attrs, dim))
+    pairs.select(F.col("pair_id"), F.col("label"), F.col("src1"), F.col("src2"),
+        row(F.col("a1"), F.col("a2")).as("row"))
+      .select("pair_id", "label", "src1", "src2", "row.toks1", "row.toks2", "row.features")
   }
 
   /** Runs the pipeline and collects a driver-side [[PairBatch]].

@@ -14,9 +14,7 @@ object Metrics {
     * scores would otherwise form one tie group and yield a plausible AP.
     */
   def prauc(scores: Array[Double], labels: Array[Double]): Double = {
-    require(scores.length == labels.length, "prauc length mismatch")
-    val bad = scores.indexWhere(s => s.isNaN || s.isInfinite)
-    require(bad < 0, s"prauc: non-finite score ${scores(bad)} at index $bad")
+    requireScores("prauc", scores, labels)
     val nPos = labels.count(_ == 1.0)
     if (nPos == 0) return 0.0
     val byScore = scores.indices.groupBy(scores(_)).toSeq.sortBy(-_._1)
@@ -32,6 +30,12 @@ object Metrics {
     ap
   }
 
+  private def requireScores(metric: String, scores: Array[Double], labels: Array[Double]): Unit = {
+    require(scores.length == labels.length, s"$metric length mismatch")
+    val bad = scores.indexWhere(s => s.isNaN || s.isInfinite)
+    require(bad < 0, s"$metric: non-finite score ${scores(bad)} at index $bad")
+  }
+
   def precisionRecallF1(scores: Array[Double], labels: Array[Double],
                         threshold: Double): (Double, Double, Double) = {
     var tp = 0; var fp = 0; var fn = 0
@@ -41,6 +45,10 @@ object Metrics {
       else if (pred) fp += 1
       else if (labels(i) == 1.0) fn += 1
     }
+    fromCounts(tp, fp, fn)
+  }
+
+  private def fromCounts(tp: Int, fp: Int, fn: Int): (Double, Double, Double) = {
     val p = if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp)
     val r = if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn)
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
@@ -50,11 +58,24 @@ object Metrics {
   /** Max F1 over all score thresholds — the usual EM-paper protocol
     * (threshold tuned on a validation split drawn from the same
     * distribution; at our scale we report the attainable optimum, applied
-    * identically to every method). */
+    * identically to every method). One descending sort, then a sweep that
+    * admits each tie group at once, as the threshold at its score would.
+    * Scores must be finite, as for [[prauc]]. */
   def bestF1(scores: Array[Double], labels: Array[Double]): Double = {
-    val thresholds = scores.distinct.sorted
-    if (thresholds.isEmpty) return 0.0
-    thresholds.foldLeft(0.0)((best, t) => math.max(best, precisionRecallF1(scores, labels, t)._3))
+    requireScores("bestF1", scores, labels)
+    val nPos = labels.count(_ == 1.0)
+    val order = scores.indices.sortBy(i => -scores(i))
+    var tp = 0; var fp = 0; var k = 0
+    var best = 0.0
+    while (k < order.length) {
+      val s = scores(order(k))
+      while (k < order.length && scores(order(k)) == s) {
+        if (labels(order(k)) == 1.0) tp += 1 else fp += 1
+        k += 1
+      }
+      best = math.max(best, fromCounts(tp, fp, nPos - tp)._3)
+    }
+    best
   }
 
   def meanStd(xs: Seq[Double]): (Double, Double) = {

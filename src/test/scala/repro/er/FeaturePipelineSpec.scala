@@ -21,36 +21,43 @@ class FeaturePipelineSpec extends SparkSpec {
     spark.createDataFrame(spark.sparkContext.parallelize(rws, 2), pairSchema)
   }
 
-  private val samplePairs = pairsDF(Seq(
-    (1L, 1.0, Map("title" -> "Hey Jude Remix", "artist" -> "The Beatles"),
-      Map("title" -> "hey jude", "artist" -> "Beatles")),
-    (2L, 0.0, Map("title" -> "Hello", "artist" -> "Adele A"),
-      Map("title" -> "Hello", "artist" -> "Avril W")),
-    (3L, -1.0, Map("title" -> "Yesterday"), Map("artist" -> "Beatles")),
-  ))
+  private val sampleMaps = Seq(
+    (Map("title" -> "Hey Jude Remix", "artist" -> "The Beatles"), Map("title" -> "hey jude", "artist" -> "Beatles")),
+    (Map("title" -> "Hello", "artist" -> "Adele A"), Map("title" -> "Hello", "artist" -> "Avril W")),
+    (Map("title" -> "Yesterday"), Map("artist" -> "Beatles")),
+  )
+
+  private val samplePairs = pairsDF(sampleMaps.zip(Seq(1.0, 0.0, -1.0)).zipWithIndex.map {
+    case (((a1, a2), label), i) => (i + 1L, label, a1, a2)
+  })
 
   test("sim is the token intersection, uni the symmetric difference (Eq. 2)") {
-    val df = FeaturePipeline.withTokenColumns(samplePairs, attrs).orderBy("pair_id")
-    val r = df.collect()(0)
-    assert(r.getSeq[String](r.fieldIndex("sim_0")).toSet == Set("hey", "jude"))
-    assert(r.getSeq[String](r.fieldIndex("uni_0")).toSet == Set("remix"))
-    assert(r.getSeq[String](r.fieldIndex("sim_1")).toSet == Set("beatles"))
-    assert(r.getSeq[String](r.fieldIndex("uni_1")).toSet == Set("the"))
+    val (a1, a2) = sampleMaps.head
+    val row = FeaturePipeline.pairRow(a1, a2, attrs, 8)
+    val Seq((sim0, uni0), (sim1, uni1)) = attrs.indices.map(i => FeaturePipeline.contrast(row.toks1(i), row.toks2(i)))
+    assert(sim0.toSet == Set("hey", "jude") && uni0.toSet == Set("remix"))
+    assert(sim1.toSet == Set("beatles") && uni1.toSet == Set("the"))
   }
 
   test("sim and uni are disjoint and their union is the token union") {
-    val df = FeaturePipeline.withTokenColumns(samplePairs, attrs)
-    df.collect().foreach { r =>
+    sampleMaps.foreach { case (a1, a2) =>
+      val row = FeaturePipeline.pairRow(a1, a2, attrs, 8)
       attrs.indices.foreach { i =>
-        val t1 = r.getSeq[String](r.fieldIndex(s"t1_$i")).toSet
-        val t2 = r.getSeq[String](r.fieldIndex(s"t2_$i")).toSet
-        val sim = r.getSeq[String](r.fieldIndex(s"sim_$i")).toSet
-        val uni = r.getSeq[String](r.fieldIndex(s"uni_$i")).toSet
-        assert(sim.intersect(uni).isEmpty)
-        assert(sim.union(uni) == t1.union(t2))
-        assert(sim == t1.intersect(t2))
+        val (t1, t2) = (row.toks1(i).toSet, row.toks2(i).toSet)
+        val (sim, uni) = FeaturePipeline.contrast(row.toks1(i), row.toks2(i))
+        assert(sim.toSet.intersect(uni.toSet).isEmpty)
+        assert(sim.toSet.union(uni.toSet) == t1.union(t2))
+        assert(sim.toSet == t1.intersect(t2))
       }
     }
+  }
+
+  test("sim keeps t1's order; uni is t1-only then t2-only tokens, which fixes the feature bits") {
+    val (sim, uni) = FeaturePipeline.contrast(Seq("c", "a", "b", "d"), Seq("d", "e", "a", "f"))
+    assert(sim == Seq("a", "d"))
+    assert(uni == Seq("c", "b", "e", "f"))
+    val row = FeaturePipeline.pairRow(Map("title" -> "c a b d"), Map("title" -> "d e a f"), Seq("title"), 8)
+    assert(row.features.sameElements(HashEmbed.embedSum(sim, 8) ++ HashEmbed.embedSum(uni, 8)))
   }
 
   test("features vector has length 2|A|*D (F = 2|A|, §4.2)") {
@@ -106,10 +113,20 @@ class FeaturePipelineSpec extends SparkSpec {
   }
 
   test("tokenization inside Spark matches the driver-side Tokenizer") {
-    val df = FeaturePipeline.withTokenColumns(samplePairs, attrs).orderBy("pair_id")
-    val r = df.collect()(0)
-    assert(r.getSeq[String](r.fieldIndex("t1_0")) ==
-      repro.text.Tokenizer.tokenSet("Hey Jude Remix"))
+    val want = repro.text.Tokenizer.tokenSet("Hey Jude Remix")
+    val (a1, a2) = sampleMaps.head
+    assert(FeaturePipeline.pairRow(a1, a2, attrs, 4).toks1.head == want)
+    val r = FeaturePipeline.features(samplePairs, attrs, 4).orderBy("pair_id").collect()(0)
+    assert(r.getSeq[scala.collection.Seq[String]](r.fieldIndex("toks1")).head == want)
+  }
+
+  test("the Spark pipeline returns pairRow's token sets and feature bits") {
+    val batch = FeaturePipeline.collectBatch(samplePairs, attrs, dim = 8)
+    batch.pairs.zip(sampleMaps).foreach { case (p, (a1, a2)) =>
+      val row = FeaturePipeline.pairRow(a1, a2, attrs, 8)
+      assert(p.toks1.toSeq == row.toks1 && p.toks2.toSeq == row.toks2)
+      assert(p.features.sameElements(row.features))
+    }
   }
 
   test("pipeline feature count stats agree with DuckDB oracle") {

@@ -4,17 +4,14 @@ import repro.linalg.Rng
 import repro.text.HashEmbed
 
 /** Driver-side PairBatch construction for model unit tests (no Spark):
-  * mirrors FeaturePipeline's sim/uni + embedSum semantics exactly
-  * (asserted against the Spark pipeline in FeaturePipelineSpec).
+  * FeaturePipeline's sim/uni split and embedSum over given token sets.
   */
 object TestPairs {
 
   def pairFeatures(toks1: Array[Seq[String]], toks2: Array[Seq[String]], dim: Int): Array[Double] = {
     require(toks1.length == toks2.length)
     toks1.indices.flatMap { j =>
-      val t1 = toks1(j).distinct; val t2 = toks2(j).distinct
-      val sim = t1.intersect(t2)
-      val uni = (t1 ++ t2).distinct.diff(sim)
+      val (sim, uni) = FeaturePipeline.contrast(toks1(j).distinct, toks2(j).distinct)
       HashEmbed.embedSum(sim, dim) ++ HashEmbed.embedSum(uni, dim)
     }.toArray
   }

@@ -106,6 +106,27 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.bestF1(Array.empty, Array.empty) == 0.0)
   }
 
+  test("bestF1 equals the max over thresholds of precisionRecallF1 on random scores with ties") {
+    // The reference: F1 at every distinct score threshold, O(n^2).
+    def reference(scores: Array[Double], labels: Array[Double]): Double = {
+      val thresholds = scores.distinct.sorted
+      if (thresholds.isEmpty) 0.0
+      else thresholds.foldLeft(0.0)((best, t) => math.max(best, Metrics.precisionRecallF1(scores, labels, t)._3))
+    }
+    val rng = new Rng(5)
+    (1 to 300).foreach { c =>
+      val n = rng.nextInt(60)
+      val levels = 1 + rng.nextInt(12) // few levels: many ties
+      val s = Array.fill(n)(rng.nextInt(levels).toDouble / levels)
+      val y = Array.fill(n)(if (rng.nextBoolean(0.4)) 1.0 else 0.0)
+      assert(Metrics.bestF1(s, y) == reference(s, y), s"case $c: scores ${s.toSeq}, labels ${y.toSeq}")
+    }
+  }
+
+  test("bestF1 rejects non-finite scores") {
+    intercept[IllegalArgumentException](Metrics.bestF1(Array(0.5, Double.NaN), Array(1.0, 0.0)))
+  }
+
   test("meanStd of constant sequence") {
     val (m, s) = Metrics.meanStd(Seq(2.0, 2.0, 2.0))
     assert(m == 2.0 && s == 0.0)
