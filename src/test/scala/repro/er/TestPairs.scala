@@ -45,4 +45,29 @@ object TestPairs {
     }
     fromTokens(Vector("attr0", "attr1"), dim, rows)
   }
+
+  /** A task of Monitor's shape: `attrs` attributes, so F = 2·attrs features.
+    * Attributes 0 and 1 are informative as in [[separable]]; of the others,
+    * every third is missing in both records (all-zero feature rows) and the
+    * rest hold 0-2 random tokens per record. */
+  def wide(n: Int, attrs: Int, dim: Int, seed: Long): PairBatch = {
+    val rng = new Rng(seed)
+    val vocab = Vector.tabulate(200)(i => s"tok$i")
+    val rows = (0 until n).map { i =>
+      val label = if (i % 2 == 0) 1.0 else 0.0
+      val t1 = Array.fill[Seq[String]](attrs)(Seq.empty)
+      val t2 = Array.fill[Seq[String]](attrs)(Seq.empty)
+      for (j <- 0 until attrs) {
+        if (j < 2) {
+          if (label == 1.0) { val shared = Seq(rng.pick(vocab), rng.pick(vocab)); t1(j) = shared; t2(j) = shared }
+          else { t1(j) = Seq(rng.pick(vocab), s"left$i"); t2(j) = Seq(rng.pick(vocab), s"right$i") }
+        } else if (j % 3 != 0) {
+          t1(j) = Seq.fill(rng.nextInt(3))(rng.pick(vocab))
+          t2(j) = Seq.fill(rng.nextInt(3))(rng.pick(vocab))
+        }
+      }
+      (label, t1, t2)
+    }
+    fromTokens(Vector.tabulate(attrs)(j => s"attr$j"), dim, rows)
+  }
 }
