@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Classifier, Trainer}
+import repro.core.{Classifier, Loss, Trainer}
 import repro.er.{PairBatch, PairData}
 import repro.linalg.{AD, Mat, Rng}
 
@@ -44,7 +44,8 @@ abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double
     val batchRng = new Rng(seed * 7 + 3)
     for (_ <- 0 until epochs)
       trainer.epoch(source.labels, MLPMatcher.BatchSize, batchRng) { idx =>
-        Trainer.bce(theta(AD.leaf(x.rowsAt(idx))), y.rowsAt(idx))
+        val lBase = Trainer.bce(theta(AD.input(x.rowsAt(idx))), y.rowsAt(idx))
+        Loss(lBase, "L_base" -> lBase)
       }
     head = Some(theta)
   }
@@ -53,7 +54,7 @@ abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double
     require(head.nonEmpty, s"$name: fit before scores")
     val theta = head.get
     val x = if (batch.n == 0) Mat.zeros(0, theta.inDim) else featureMat(batch)
-    theta(AD.leaf(x)).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
+    theta(AD.input(x)).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
   }
 }
 

@@ -84,7 +84,7 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
   /** Differentiable forward pass: (attention G, logits s). */
   private def forward(feats: Array[Mat]): (AD.V, AD.V) = {
     val xs = Array.tabulate(numFeatures) { j =>
-      AD.relu(AD.addRowVec(AD.matmul(AD.leaf(feats(j)), vs(j)), bs(j)))
+      AD.relu(AD.addRowVec(AD.matmul(AD.input(feats(j)), vs(j)), bs(j)))
     }
     val es = xs.map(x => AD.matmul(AD.tanh(AD.matmul(x, w)), a))
     val g = AD.softmaxRows(AD.hcat(es.toIndexedSeq))
@@ -127,6 +127,12 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
     val usesSupport = variant == Variant.Few || variant == Variant.Hyb
     require(!usesTarget || target.nonEmpty, s"${variant.name} requires the unlabeled target domain")
     require(!usesSupport || support.nonEmpty, s"${variant.name} requires the labeled support set")
+    require(source.n > 0, s"${variant.name}: fit on an empty source batch")
+    if (usesSupport) {
+      val pos = source.labels.count(_ == 1.0)
+      require(pos > 0 && pos < source.n, s"${variant.name}: the source needs both classes for the " +
+        s"per-class Eq. (11) centroids, got $pos positive of ${source.n}")
+    }
 
     val srcFeats = selFeats(source)
     val tgtFeats = target.filter(_ => usesTarget).map(selFeats)
@@ -150,8 +156,9 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
       // for Zero/Hyb (Eq. 9).
       val (batchLoss, steps) = trainer.epoch(source.labels, batchSize, epochRng) { idx =>
         val (gSrc, lBase) = baseLoss(idx)
-        targetAvg.fold(lBase) { t =>
-          AD.add(AD.scale(lBase, 1.0 - lambda), AD.scale(AD.klToConst(gSrc, t), lambda))
+        targetAvg.fold(Loss(lBase, "L_base" -> lBase)) { t =>
+          val kl = AD.klToConst(gSrc, t)
+          Loss(AD.add(AD.scale(lBase, 1.0 - lambda), AD.scale(kl, lambda)), "L_base" -> lBase, "KL" -> kl)
         }
       }
 
@@ -168,7 +175,8 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
         val anchor = Batching.balancedBatches(source.labels, math.max(batchSize, s.n), epochRng).head
         val (_, lAnchor) = baseLoss(anchor)
         val (_, sSup) = forward(selFeats(s))
-        trainer.step(AD.add(lAnchor, AD.scale(AD.bceWithLogits(sSup, s.labelCol, wts), phi)))
+        val lSupport = AD.bceWithLogits(sSup, s.labelCol, wts)
+        trainer.step(Loss(AD.add(lAnchor, AD.scale(lSupport, phi)), "L_base" -> lAnchor, "L_support" -> lSupport))
       }
       (batchLoss + supportLoss.getOrElse(0.0)) / math.max(steps, 1)
     }

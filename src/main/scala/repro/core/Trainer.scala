@@ -23,24 +23,42 @@ final class Classifier(val inDim: Int, hidden: Int, rng: Rng) {
   }
 }
 
+/** A step's objective and the named terms it is built from (`L_base`,
+  * `KL`, `L_support`), by which a non-finite objective is reported. */
+final case class Loss(total: AD.V, terms: (String, AD.V)*)
+
 /** The one training loop of AdaMEL and the baselines: decoupled-weight-decay
   * Adam over a fixed parameter set, stepped on class-stratified mini-batches
   * (see [[Batching]]).
   */
 final class Trainer(params: Seq[AD.V], lr: Double, weightDecay: Double) {
   private val opt = new Adam(params, lr, weightDecay = weightDecay)
+  private var epochNo = 0 // epochs begun, from 1
+  private var stepNo = 0  // steps taken in the current epoch, from 1
 
-  /** One optimizer step on `loss`; returns its value. */
-  def step(loss: AD.V): Double = {
+  /** One optimizer step on `loss`; returns its value. Throws an
+    * `ArithmeticException` naming the epoch, the step and the non-finite
+    * terms if the objective is not finite, before any parameter moves. */
+  def step(loss: Loss): Double = {
+    stepNo += 1
+    val value = loss.total.scalar
+    if (!value.isFinite) {
+      val bad = loss.terms.collect { case (name, t) if !t.scalar.isFinite => name }
+      val values = loss.terms.map { case (name, t) => s"$name = ${t.scalar}" }.mkString(", ")
+      throw new ArithmeticException(s"non-finite loss $value at epoch $epochNo, step $stepNo: " +
+        (if (bad.nonEmpty) s"${bad.mkString(", ")} not finite" else "its finite terms overflow") + s" ($values)")
+    }
     opt.zeroGrad()
-    AD.backward(loss)
+    AD.backward(loss.total)
     opt.step()
-    loss.scalar
+    value
   }
 
   /** One epoch: a step on `loss(idx)` for each balanced batch `idx` of
     * `labels`, drawn from `rng`. Returns the summed loss and the step count. */
-  def epoch(labels: Array[Double], batchSize: Int, rng: Rng)(loss: Array[Int] => AD.V): (Double, Int) = {
+  def epoch(labels: Array[Double], batchSize: Int, rng: Rng)(loss: Array[Int] => Loss): (Double, Int) = {
+    epochNo += 1
+    stepNo = 0
     val batches = Batching.balancedBatches(labels, batchSize, rng)
     (batches.map(idx => step(loss(idx))).sum, batches.size)
   }

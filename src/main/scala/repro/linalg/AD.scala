@@ -6,8 +6,16 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Micrograd-style tape: every op returns a [[AD.V]] node holding its value,
   * its parents and a closure that scatters the node's cotangent into the
-  * parents' gradient buffers. Call [[AD.backward]] on a scalar (1x1) node to
-  * populate `grad` on every upstream node.
+  * parents' gradients. Call [[AD.backward]] on a scalar (1x1) node to
+  * populate `grad` on every upstream node that needs one.
+  *
+  * Data enters as constants ([[AD.input]]): a constant, and every node
+  * computed from constants only, gets no gradient, so `backward` neither
+  * visits it nor computes, say, the N x D input gradient of a `matmul`.
+  * Gradient buffers are allocated in `backward`, never in a forward pass; a
+  * parameter's buffer is allocated once and zero-filled on each later call.
+  * Every gradient is bit-identical to accumulating each op's contribution,
+  * computed on its own, into a zeroed buffer.
   *
   * The op set is what the AdaMEL losses and the baseline MLPs need, plus
   * `mul` and `sumAll`, the weighting and the reducer of the
@@ -15,48 +23,120 @@ import scala.collection.mutable.ArrayBuffer
   */
 object AD {
 
-  final class V(val v: Mat, val parents: Seq[V], val bw: V => Unit) {
-    var grad: Mat = Mat.zeros(v.rows, v.cols)
+  final class V private[AD] (val v: Mat, val parents: Seq[V], bw: V => Unit, val needsGrad: Boolean) {
+    private var g: Mat = null
+    private var gIsZero = false // g is zero-filled and not handed out since
+    private var scratch: Mat = null // a parameter's buffer for a product it adds to g
+
+    /** The gradient the last [[backward]] through this node accumulated
+      * (zeros before any). A constant has none. */
+    def grad: Mat = {
+      require(needsGrad, "a constant has no gradient")
+      if (g == null) g = Mat.zeros(v.rows, v.cols)
+      gIsZero = false
+      g
+    }
+
     def scalar: Double = { require(v.rows == 1 && v.cols == 1, "not a scalar node"); v.data(0) }
+
+    /** Adds a product to the gradient. `product(into)` returns it, written
+      * into `into` if that is not null and it can. A zeroed gradient takes
+      * the product directly; otherwise the product is formed on its own (in
+      * a parameter's reused scratch buffer) and then added, as the sum order
+      * of accumulating separate contributions requires. */
+    private[AD] def addProduct(product: Mat => Mat): Unit =
+      if (g == null) g = product(null)
+      else {
+        val into = if (gIsZero) g else if (parents.nonEmpty) null else {
+          if (scratch == null) scratch = Mat.zeros(v.rows, v.cols)
+          scratch
+        }
+        val p = product(into)
+        if (p ne g) g.addInPlace(p)
+        gIsZero = false
+      }
+
+    private[linalg] def zeroGrad(): Unit = if (g != null) { java.util.Arrays.fill(g.data, 0.0); gIsZero = true }
+
+    private[AD] def backprop(): Unit = bw(this)
   }
 
-  /** Leaf node (parameter or input). Gradients accumulate here. */
-  def leaf(m: Mat): V = new V(m, Nil, _ => ())
+  private def op(value: Mat, parents: Seq[V])(bw: V => Unit): V =
+    new V(value, parents, bw, parents.exists(_.needsGrad))
 
-  def matmul(a: V, b: V): V = new V(a.v %*% b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad %*% b.v.t)
-    b.grad.addInPlace(a.v.t %*% out.grad)
-  })
+  /** A parameter: a leaf whose gradient [[backward]] accumulates. */
+  def leaf(m: Mat): V = new V(m, Nil, _ => (), needsGrad = true)
 
-  def add(a: V, b: V): V = new V(a.v + b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad); b.grad.addInPlace(out.grad)
-  })
+  /** A constant (data, labels): a leaf with no gradient. */
+  def input(m: Mat): V = new V(m, Nil, _ => (), needsGrad = false)
 
-  def mul(a: V, b: V): V = new V(a.v * b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad * b.v); b.grad.addInPlace(out.grad * a.v)
-  })
+  def matmul(a: V, b: V): V = op(a.v %*% b.v, Seq(a, b)) { out =>
+    if (a.needsGrad) a.addProduct(out.grad.matmulNT(b.v, _))
+    if (b.needsGrad) b.addProduct(a.v.matmulTN(out.grad, _))
+  }
 
-  def scale(a: V, k: Double): V = new V(a.v * k, Seq(a), out => a.grad.addInPlace(out.grad * k))
+  def add(a: V, b: V): V = op(a.v + b.v, Seq(a, b)) { out =>
+    if (a.needsGrad) a.grad.addInPlace(out.grad)
+    if (b.needsGrad) b.grad.addInPlace(out.grad)
+  }
+
+  def mul(a: V, b: V): V = op(a.v * b.v, Seq(a, b)) { out =>
+    if (a.needsGrad) addProduct(a.grad, out.grad, b.v)
+    if (b.needsGrad) addProduct(b.grad, out.grad, a.v)
+  }
+
+  /** acc += x ⊙ y. */
+  private def addProduct(acc: Mat, x: Mat, y: Mat): Unit = {
+    var i = 0
+    while (i < acc.size) { acc.data(i) += x.data(i) * y.data(i); i += 1 }
+  }
+
+  def scale(a: V, k: Double): V = op(a.v * k, Seq(a)) { out =>
+    val ga = a.grad; val go = out.grad
+    var i = 0
+    while (i < ga.size) { ga.data(i) += go.data(i) * k; i += 1 }
+  }
 
   /** Broadcast-add a 1 x C bias row to every row of a. */
-  def addRowVec(a: V, bias: V): V = new V(a.v.addRowVec(bias.v), Seq(a, bias), { out =>
-    a.grad.addInPlace(out.grad)
-    bias.grad.addInPlace(out.grad.colSum)
-  })
+  def addRowVec(a: V, bias: V): V = op(a.v.addRowVec(bias.v), Seq(a, bias)) { out =>
+    if (a.needsGrad) a.grad.addInPlace(out.grad)
+    if (bias.needsGrad) bias.addProduct(_ => out.grad.colSum)
+  }
 
   /** Broadcast-multiply every row of a (N x C) by column vector c (N x 1). */
-  def mulColVec(a: V, c: V): V = new V(a.v.mulColVec(c.v), Seq(a, c), { out =>
-    a.grad.addInPlace(out.grad.mulColVec(c.v))
-    c.grad.addInPlace((out.grad * a.v).rowSum)
-  })
+  def mulColVec(a: V, c: V): V = op(a.v.mulColVec(c.v), Seq(a, c)) { out =>
+    val go = out.grad; val cols = go.cols
+    if (a.needsGrad) {
+      val ga = a.grad
+      var i = 0
+      while (i < go.size) { ga.data(i) += go.data(i) * c.v.data(i / cols); i += 1 }
+    }
+    if (c.needsGrad) {
+      val gc = c.grad
+      var r = 0
+      while (r < go.rows) {
+        var s = 0.0; var j = 0
+        while (j < cols) { s += go(r, j) * a.v(r, j); j += 1 }
+        gc.data(r) += s
+        r += 1
+      }
+    }
+  }
 
-  def relu(a: V): V = new V(a.v.map(x => if (x > 0) x else 0.0), Seq(a), { out =>
-    a.grad.addInPlace(out.grad.zip(a.v)((g, x) => if (x > 0) g else 0.0))
-  })
+  /** max(x, 0), NaN for NaN (a NaN input must reach the loss, not vanish). */
+  def relu(a: V): V = op(a.v.map(x => if (x <= 0) 0.0 else x), Seq(a)) { out =>
+    val ga = a.grad; val go = out.grad
+    var i = 0
+    while (i < ga.size) { ga.data(i) += (if (a.v.data(i) > 0) go.data(i) else 0.0); i += 1 }
+  }
 
   def tanh(a: V): V = {
     val y = a.v.map(math.tanh)
-    new V(y, Seq(a), out => a.grad.addInPlace(out.grad.zip(y)((g, t) => g * (1.0 - t * t))))
+    op(y, Seq(a)) { out =>
+      val ga = a.grad; val go = out.grad
+      var i = 0
+      while (i < ga.size) { val t = y.data(i); ga.data(i) += go.data(i) * (1.0 - t * t); i += 1 }
+    }
   }
 
   /** Row-wise softmax of an N x F matrix. */
@@ -74,23 +154,26 @@ object AD {
       while (c < a.v.cols) { y(r, c) /= s; c += 1 }
       r += 1
     }
-    new V(y, Seq(a), { out =>
+    op(y, Seq(a)) { out =>
       // dE = (dG - rowSum(dG * G)) * G
-      val dotted = (out.grad * y).rowSum // N x 1
-      val g = Mat.zeros(y.rows, y.cols)
+      val ga = a.grad; val go = out.grad
       var i = 0
       while (i < y.rows) {
+        var dotted = 0.0
         var j = 0
-        while (j < y.cols) { g(i, j) = (out.grad(i, j) - dotted(i, 0)) * y(i, j); j += 1 }
+        while (j < y.cols) { dotted += go(i, j) * y(i, j); j += 1 }
+        j = 0
+        while (j < y.cols) { ga(i, j) += (go(i, j) - dotted) * y(i, j); j += 1 }
         i += 1
       }
-      a.grad.addInPlace(g)
-    })
+    }
   }
 
-  def sumAll(a: V): V = new V(new Mat(1, 1, Array(a.v.sum)), Seq(a), { out =>
-    a.grad.addInPlace(Mat.fill(a.v.rows, a.v.cols, out.grad.data(0)))
-  })
+  def sumAll(a: V): V = op(new Mat(1, 1, Array(a.v.sum)), Seq(a)) { out =>
+    val ga = a.grad; val go = out.grad.data(0)
+    var i = 0
+    while (i < ga.size) { ga.data(i) += go; i += 1 }
+  }
 
   /** Column j of an N x C matrix as an N x 1 node. */
   def colSlice(a: V, j: Int): V = {
@@ -98,30 +181,29 @@ object AD {
     val y = Mat.zeros(a.v.rows, 1)
     var r = 0
     while (r < a.v.rows) { y(r, 0) = a.v(r, j); r += 1 }
-    new V(y, Seq(a), { out =>
-      val g = Mat.zeros(a.v.rows, a.v.cols)
+    op(y, Seq(a)) { out =>
+      val ga = a.grad; val go = out.grad
       var i = 0
-      while (i < a.v.rows) { g(i, j) = out.grad(i, 0); i += 1 }
-      a.grad.addInPlace(g)
-    })
+      while (i < a.v.rows) { ga(i, j) += go(i, 0); i += 1 }
+    }
   }
 
-  def hcat(parts: Seq[V]): V = {
-    val value = parts.map(_.v).reduce(_ hcat _)
-    new V(value, parts, { out =>
-      var off = 0
-      parts.foreach { p =>
-        val g = Mat.zeros(p.v.rows, p.v.cols)
+  /** Horizontal concatenation of nodes with equal row counts. */
+  def hcat(parts: Seq[V]): V = op(Mat.hcat(parts.map(_.v)), parts) { out =>
+    val go = out.grad
+    var off = 0
+    parts.foreach { p =>
+      if (p.needsGrad) {
+        val gp = p.grad
         var r = 0
-        while (r < p.v.rows) {
+        while (r < gp.rows) {
           var c = 0
-          while (c < p.v.cols) { g(r, c) = out.grad(r, off + c); c += 1 }
+          while (c < gp.cols) { gp(r, c) += go(r, off + c); c += 1 }
           r += 1
         }
-        p.grad.addInPlace(g)
-        off += p.v.cols
       }
-    })
+      off += p.v.cols
+    }
   }
 
   /** Numerically stable binary cross-entropy with logits.
@@ -145,18 +227,17 @@ object AD {
       loss += w(i, 0) * (sp - y(i, 0) * s)
       i += 1
     }
-    new V(new Mat(1, 1, Array(loss / wSum)), Seq(scores), { out =>
+    op(new Mat(1, 1, Array(loss / wSum)), Seq(scores)) { out =>
       val g = out.grad.data(0)
-      val gs = Mat.zeros(n, 1)
+      val gs = scores.grad
       var j = 0
       while (j < n) {
         val s = scores.v(j, 0)
         val sig = 1.0 / (1.0 + math.exp(-s))
-        gs(j, 0) = g * w(j, 0) * (sig - y(j, 0)) / wSum
+        gs(j, 0) += g * w(j, 0) * (sig - y(j, 0)) / wSum
         j += 1
       }
-      scores.grad.addInPlace(gs)
-    })
+    }
   }
 
   /** KL(target || rows of g): `sum_i sum_j t_j * log(t_j / g_ij) / N`.
@@ -164,7 +245,8 @@ object AD {
     * `target` is a 1 x F constant distribution (the attention vector averaged
     * over the unlabeled target domain, Eq. (10), detached as in Algorithm 1
     * line 5); g is N x F of row-stochastic attention vectors. Normalized by
-    * N so the magnitude is batch-size independent.
+    * N so the magnitude is batch-size independent. Target entries below
+    * 1e-12 add nothing; a NaN entry makes the loss NaN.
     */
   def klToConst(g: V, target: Mat): V = {
     require(target.rows == 1 && target.cols == g.v.cols, "klToConst target shape")
@@ -176,37 +258,39 @@ object AD {
       var j = 0
       while (j < g.v.cols) {
         val t = target(0, j)
-        if (t > eps) loss += t * (math.log(t + eps) - math.log(g.v(i, j) + eps))
+        if (t > eps || t.isNaN) loss += t * (math.log(t + eps) - math.log(g.v(i, j) + eps))
         j += 1
       }
       i += 1
     }
-    new V(new Mat(1, 1, Array(loss / n)), Seq(g), { out =>
+    op(new Mat(1, 1, Array(loss / n)), Seq(g)) { out =>
       val go = out.grad.data(0)
-      val gg = Mat.zeros(n, g.v.cols)
+      val gg = g.grad
       var r = 0
       while (r < n) {
         var c = 0
         while (c < g.v.cols) {
           val t = target(0, c)
-          if (t > eps) gg(r, c) = -go * t / ((g.v(r, c) + eps) * n)
+          if (t > eps || t.isNaN) gg(r, c) += -go * t / ((g.v(r, c) + eps) * n)
           c += 1
         }
         r += 1
       }
-      g.grad.addInPlace(gg)
-    })
+    }
   }
 
-  /** Topologically-ordered reverse sweep from scalar `root`. */
+  /** Topologically-ordered reverse sweep from scalar `root` over the nodes
+    * that need a gradient. */
   def backward(root: V): Unit = {
     require(root.v.rows == 1 && root.v.cols == 1, "backward root must be scalar")
-    val order = ArrayBuffer.empty[V]
-    val seen = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[V, java.lang.Boolean]())
-    def visit(n: V): Unit = if (seen.add(n)) { n.parents.foreach(visit); order += n }
-    visit(root)
-    order.foreach(n => n.grad = Mat.zeros(n.v.rows, n.v.cols))
-    root.grad = new Mat(1, 1, Array(1.0))
-    order.reverseIterator.foreach(n => n.bw(n))
+    if (root.needsGrad) {
+      val order = ArrayBuffer.empty[V]
+      val seen = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[V, java.lang.Boolean]())
+      def visit(n: V): Unit = if (n.needsGrad && seen.add(n)) { n.parents.foreach(visit); order += n }
+      visit(root)
+      order.foreach(_.zeroGrad())
+      root.grad.data(0) = 1.0
+      order.reverseIterator.foreach(_.backprop())
+    }
   }
 }

@@ -5,11 +5,12 @@ package repro.linalg
   * Holds first/second moment buffers per parameter. Parameters are the
   * [[AD.V]] leaves whose `grad` is populated by [[AD.backward]]; `step`
   * applies the update in place on their value matrices.
+  *
+  * @param weightDecay decoupled (AdamW-style) L2 shrinkage applied at each
+  *                    step — the substrate-scale regularizer that stands in
+  *                    for the implicit regularization of the paper's
+  *                    mini-batch SGD on much larger data.
   */
-/** @param weightDecay decoupled (AdamW-style) L2 shrinkage applied at each
-  *                     step — the substrate-scale regularizer that stands in
-  *                     for the implicit regularization of the paper's
-  *                     mini-batch SGD on much larger data. */
 final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
                  beta1: Double = 0.9, beta2: Double = 0.999, eps: Double = 1e-8,
                  weightDecay: Double = 0.0) {
@@ -39,5 +40,7 @@ final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
     }
   }
 
-  def zeroGrad(): Unit = params.foreach(p => p.grad = Mat.zeros(p.v.rows, p.v.cols))
+  /** Zero-fills every parameter's gradient buffer, so a parameter the next
+    * backward does not reach steps on a zero gradient. */
+  def zeroGrad(): Unit = params.foreach(_.zeroGrad())
 }

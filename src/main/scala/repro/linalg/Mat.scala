@@ -45,26 +45,56 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     while (i < size) { data(i) += that.data(i); i += 1 }
   }
 
-  /** Matrix product `this (r x k) %*% that (k x c)`. */
+  /** Matrix product `this (r x k) %*% that (k x c)`.
+    *
+    * Entry (i, j) is summed from 0.0 over p in ascending order, skipping the
+    * p where `this(i, p)` is zero. [[matmulTN]] and [[matmulNT]] sum every
+    * entry in the same order and skip the same products, so they are
+    * bit-identical to `%*%` on a transpose.
+    */
   def %*%(that: Mat): Mat = {
     require(cols == that.rows, s"matmul shape mismatch: ${rows}x$cols %*% ${that.rows}x${that.cols}")
-    val out = new Array[Double](rows * that.cols)
-    val k = cols; val c = that.cols
+    val out = Mat.zeros(rows, that.cols)
+    val nz = new Mat.NonZeros(cols)
     var i = 0
     while (i < rows) {
-      var p = 0
-      while (p < k) {
-        val a = data(i * k + p)
-        if (a != 0.0) {
-          val rowOff = p * c; val outOff = i * c
-          var j = 0
-          while (j < c) { out(outOff + j) += a * that.data(rowOff + j); j += 1 }
-        }
-        p += 1
-      }
+      nz.gather(data, i * cols, 1, cols)
+      nz.addRowCombination(that, out.data, i * that.cols)
       i += 1
     }
-    new Mat(rows, that.cols, out)
+    out
+  }
+
+  /** `this.t %*% that` for `this` (k x r) and `that` (k x c), without
+    * building the transpose; bit-identical to `this.t %*% that`. Overwrites
+    * `into` (r x c) when given, else returns a new matrix. */
+  def matmulTN(that: Mat, into: Mat = null): Mat = {
+    require(rows == that.rows, s"matmulTN shape mismatch: (${rows}x$cols)^T %*% ${that.rows}x${that.cols}")
+    val out = Mat.zeroed(into, cols, that.cols)
+    val nz = new Mat.NonZeros(rows)
+    var i = 0
+    while (i < cols) {
+      nz.gather(data, i, cols, rows) // column i of this
+      nz.addRowCombination(that, out.data, i * that.cols)
+      i += 1
+    }
+    out
+  }
+
+  /** `this %*% that.t` for `this` (r x k) and `that` (c x k), without
+    * building the transpose; bit-identical to `this %*% that.t`. Overwrites
+    * `into` (r x c) when given, else returns a new matrix. */
+  def matmulNT(that: Mat, into: Mat = null): Mat = {
+    require(cols == that.cols, s"matmulNT shape mismatch: ${rows}x$cols %*% (${that.rows}x${that.cols})^T")
+    val out = Mat.zeroed(into, rows, that.rows)
+    val nz = new Mat.NonZeros(cols)
+    var i = 0
+    while (i < rows) {
+      nz.gather(data, i * cols, 1, cols)
+      nz.dotRows(that, out.data, i * that.rows)
+      i += 1
+    }
+    out
   }
 
   def t: Mat = {
@@ -119,32 +149,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     new Mat(1, cols, out)
   }
 
-  /** rows x 1 vector of row sums. */
-  def rowSum: Mat = {
-    val out = new Array[Double](rows)
-    var r = 0
-    while (r < rows) {
-      var s = 0.0; var c = 0
-      while (c < cols) { s += data(r * cols + c); c += 1 }
-      out(r) = s; r += 1
-    }
-    new Mat(rows, 1, out)
-  }
-
   def colMean: Mat = colSum * (1.0 / rows)
-
-  /** Horizontal concatenation. */
-  def hcat(that: Mat): Mat = {
-    require(rows == that.rows, "hcat row mismatch")
-    val out = new Array[Double](rows * (cols + that.cols))
-    var r = 0
-    while (r < rows) {
-      System.arraycopy(data, r * cols, out, r * (cols + that.cols), cols)
-      System.arraycopy(that.data, r * that.cols, out, r * (cols + that.cols) + cols, that.cols)
-      r += 1
-    }
-    new Mat(rows, cols + that.cols, out)
-  }
 
   /** Select a subset of rows (used for mini-batching). */
   def rowsAt(idx: Array[Int]): Mat = {
@@ -172,6 +177,104 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
 object Mat {
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
+
+  /** Horizontal concatenation of matrices with equal row counts, in one pass. */
+  def hcat(parts: Seq[Mat]): Mat = {
+    require(parts.nonEmpty, "hcat: no parts")
+    val rows = parts.head.rows
+    require(parts.forall(_.rows == rows), "hcat row mismatch")
+    val cols = parts.iterator.map(_.cols).sum
+    val out = new Array[Double](rows * cols)
+    var off = 0
+    parts.foreach { m =>
+      var r = 0
+      while (r < rows) { System.arraycopy(m.data, r * m.cols, out, r * cols + off, m.cols); r += 1 }
+      off += m.cols
+    }
+    new Mat(rows, cols, out)
+  }
+
+  /** The non-zero entries of one row or column of a matrix, in order: the
+    * factors of one output row of a product. The products of an output
+    * entry are added one at a time, in that order, as `%*%` defines; the
+    * loops below only interleave the work on different entries. */
+  private final class NonZeros(capacity: Int) {
+    private val at = new Array[Int](capacity)
+    private val x = new Array[Double](capacity)
+    private var n = 0
+
+    /** Keeps the non-zero values of `data(off + p * stride)`, p < count. */
+    def gather(data: Array[Double], off: Int, stride: Int, count: Int): Unit = {
+      n = 0
+      var p = 0
+      while (p < count) {
+        val v = data(off + p * stride)
+        if (v != 0.0) { at(n) = p; x(n) = v; n += 1 }
+        p += 1
+      }
+    }
+
+    /** out(off + j) += x_q * b(at_q, j) for every j, over q in order; four
+      * q per pass, so each entry is loaded and stored once per four terms. */
+    def addRowCombination(b: Mat, out: Array[Double], off: Int): Unit = {
+      val c = b.cols; val bd = b.data
+      var q = 0
+      while (q + 4 <= n) {
+        val x0 = x(q); val x1 = x(q + 1); val x2 = x(q + 2); val x3 = x(q + 3)
+        val o0 = at(q) * c; val o1 = at(q + 1) * c; val o2 = at(q + 2) * c; val o3 = at(q + 3) * c
+        var j = 0
+        while (j < c) {
+          var t = out(off + j)
+          t += x0 * bd(o0 + j); t += x1 * bd(o1 + j); t += x2 * bd(o2 + j); t += x3 * bd(o3 + j)
+          out(off + j) = t
+          j += 1
+        }
+        q += 4
+      }
+      while (q < n) {
+        val xq = x(q); val o = at(q) * c
+        var j = 0
+        while (j < c) { out(off + j) += xq * bd(o + j); j += 1 }
+        q += 1
+      }
+    }
+
+    /** out(off + j) = sum over q of x_q * b(j, at_q), for every row j of
+      * b; eight j per pass, each with its own running sum. */
+    def dotRows(b: Mat, out: Array[Double], off: Int): Unit = {
+      val k = b.cols; val bd = b.data
+      var j = 0
+      while (j + 8 <= b.rows) {
+        var s0, s1, s2, s3, s4, s5, s6, s7 = 0.0
+        var q = 0
+        while (q < n) {
+          val xq = x(q); val o = j * k + at(q)
+          s0 += xq * bd(o); s1 += xq * bd(o + k); s2 += xq * bd(o + 2 * k); s3 += xq * bd(o + 3 * k)
+          s4 += xq * bd(o + 4 * k); s5 += xq * bd(o + 5 * k); s6 += xq * bd(o + 6 * k); s7 += xq * bd(o + 7 * k)
+          q += 1
+        }
+        out(off + j) = s0; out(off + j + 1) = s1; out(off + j + 2) = s2; out(off + j + 3) = s3
+        out(off + j + 4) = s4; out(off + j + 5) = s5; out(off + j + 6) = s6; out(off + j + 7) = s7
+        j += 8
+      }
+      while (j < b.rows) {
+        var s = 0.0
+        var q = 0
+        while (q < n) { s += x(q) * bd(j * k + at(q)); q += 1 }
+        out(off + j) = s
+        j += 1
+      }
+    }
+  }
+
+  /** `into` zero-filled, or a new zero matrix when `into` is null. */
+  private def zeroed(into: Mat, rows: Int, cols: Int): Mat =
+    if (into == null) zeros(rows, cols)
+    else {
+      require(into.rows == rows && into.cols == cols, s"output ${into.rows}x${into.cols}, expected ${rows}x$cols")
+      java.util.Arrays.fill(into.data, 0.0)
+      into
+    }
 
   def fill(rows: Int, cols: Int, v: Double): Mat = new Mat(rows, cols, Array.fill(rows * cols)(v))
 

@@ -33,6 +33,11 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("a non-finite loss fails naming the epoch and the step") {
+    val e = intercept[ArithmeticException](new CorDelLite(seed = 5).fit(TestPairs.withNaNFeature(train, 0)))
+    assert(e.getMessage.matches("non-finite loss NaN at epoch 1, step \\d+: L_base not finite .*"), e.getMessage)
+  }
+
   test("scoring an empty batch gives no scores") {
     val empty = test.subset(Array.empty[Int])
     allMatchers.foreach { m =>

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.er.TestPairs
+import repro.er.{PairBatch, TestPairs}
 import repro.eval.Metrics
 
 class AdaMELSpec extends AnyFunSuite {
@@ -65,6 +65,39 @@ class AdaMELSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new AdaMEL(cfg(Variant.Few), dim, train.featureNames).fit(train))
     intercept[IllegalArgumentException](
       new AdaMEL(cfg(Variant.Hyb), dim, train.featureNames).fit(train, Some(test), None))
+  }
+
+  test("fit rejects an empty source, naming the variant") {
+    val support = TestPairs.separable(30, dim, seed = 9)
+    val empty = train.subset(Array.empty[Int])
+    Variant.all.foreach { v =>
+      val e = intercept[IllegalArgumentException](
+        new AdaMEL(cfg(v, epochs = 1), dim, train.featureNames).fit(empty, Some(test), Some(support)))
+      assert(e.getMessage.contains(v.name) && e.getMessage.contains("empty source"), e.getMessage)
+    }
+  }
+
+  test("few and hyb need both classes in the source (Eq. 11 centroids are per class)") {
+    val support = TestPairs.separable(30, dim, seed = 9)
+    for (v <- Seq(Variant.Few, Variant.Hyb); source <- Seq(train.positives, train.negatives)) {
+      val e = intercept[IllegalArgumentException](
+        new AdaMEL(cfg(v, epochs = 1), dim, train.featureNames).fit(source, Some(test), Some(support)))
+      assert(e.getMessage.contains(v.name) && e.getMessage.contains("both classes"), e.getMessage)
+    }
+  }
+
+  test("a non-finite loss fails naming the epoch, the step and the term") {
+    val support = TestPairs.separable(30, dim, seed = 9)
+    def failure(v: Variant, source: PairBatch, target: PairBatch, sup: PairBatch): String =
+      intercept[ArithmeticException](
+        new AdaMEL(cfg(v, epochs = 2), dim, train.featureNames).fit(source, Some(target), Some(sup))).getMessage
+    val nanSource = failure(Variant.Base, TestPairs.withNaNFeature(train, 7), test, support)
+    assert(nanSource.matches("non-finite loss NaN at epoch 1, step \\d+: L_base not finite \\(L_base = NaN\\)"), nanSource)
+    val nanTarget = failure(Variant.Zero, train, TestPairs.withNaNFeature(test, 3), support)
+    assert(nanTarget.startsWith("non-finite loss NaN at epoch 1, step 1: KL not finite"), nanTarget)
+    val nanSupport = failure(Variant.Few, train, test, TestPairs.withNaNFeature(support, 0))
+    val steps = math.ceil(train.n / 16.0).toInt + 1 // one epoch's balanced batches, then the support step
+    assert(nanSupport.startsWith(s"non-finite loss NaN at epoch 1, step $steps: L_support not finite"), nanSupport)
   }
 
   test("zero trains with unlabeled target and still solves the task") {

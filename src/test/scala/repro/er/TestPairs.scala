@@ -24,6 +24,12 @@ object TestPairs {
     PairBatch(attrs, dim, pairs)
   }
 
+  /** `b` with the first feature value of pair `row` set to NaN. */
+  def withNaNFeature(b: PairBatch, row: Int): PairBatch = {
+    val p = b.pairs(row)
+    b.copy(pairs = b.pairs.updated(row, p.copy(features = p.features.updated(0, Double.NaN))))
+  }
+
   /** A linearly separable toy task over two attributes: matching pairs share
     * tokens on the informative attribute, non-matching pairs do not; the
     * other attribute is noise. */

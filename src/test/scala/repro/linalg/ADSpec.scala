@@ -51,7 +51,7 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("grad: add") {
-    val w = AD.leaf(randMat(3, 2))
+    val w = AD.input(randMat(3, 2))
     gradCheck(leaves(randMat(3, 2), randMat(3, 2)),
       ls => AD.sumAll(AD.mul(AD.add(ls(0), ls(1)), w)))
   }
@@ -69,7 +69,7 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("grad: matmul with downstream weighting") {
-    val w = AD.leaf(randMat(3, 2))
+    val w = AD.input(randMat(3, 2))
     gradCheck(leaves(randMat(3, 4), randMat(4, 2)),
       ls => AD.sumAll(AD.mul(AD.matmul(ls(0), ls(1)), w)))
   }
@@ -94,7 +94,7 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("grad: softmaxRows") {
-    val w = AD.leaf(randMat(3, 4))
+    val w = AD.input(randMat(3, 4))
     gradCheck(leaves(randMat(3, 4)), ls => AD.sumAll(AD.mul(AD.softmaxRows(ls(0)), w)))
   }
 
@@ -114,6 +114,52 @@ class ADSpec extends AnyFunSuite {
   test("grad: hcat") {
     gradCheck(leaves(randMat(3, 2), randMat(3, 4), randMat(3, 1)),
       ls => AD.sumAll(AD.tanh(AD.hcat(ls.toIndexedSeq))))
+  }
+
+  test("grad: hcat of five parts, one constant and one used twice") {
+    val c = AD.input(randMat(3, 2))
+    val w = AD.input(randMat(3, 8))
+    gradCheck(leaves(randMat(3, 1), randMat(3, 3), randMat(3, 1)),
+      ls => AD.sumAll(AD.mul(AD.tanh(AD.hcat(Seq(ls(0), c, ls(1), ls(2), ls(0)))), w)))
+  }
+
+  test("grad: matmul with a constant input") {
+    val x = AD.input(randMat(5, 3))
+    val w = AD.input(randMat(5, 2))
+    gradCheck(leaves(randMat(3, 2)), ls => AD.sumAll(AD.mul(AD.tanh(AD.matmul(x, ls(0))), w)))
+    val y = AD.input(randMat(2, 4))
+    gradCheck(leaves(randMat(3, 2)), ls => AD.sumAll(AD.tanh(AD.matmul(ls(0), y))))
+  }
+
+  test("a constant input, and a node of constants only, gets no gradient") {
+    val x = AD.input(randMat(4, 3)); val w = AD.leaf(randMat(3, 2))
+    val fromConstants = AD.tanh(x)
+    AD.backward(AD.sumAll(AD.matmul(fromConstants, w)))
+    assert(!x.needsGrad && !fromConstants.needsGrad && w.needsGrad)
+    intercept[IllegalArgumentException](x.grad)
+    intercept[IllegalArgumentException](fromConstants.grad)
+    assert(w.grad.approxEquals(fromConstants.v.t %*% Mat.fill(4, 2, 1.0), 1e-12))
+  }
+
+  test("a parameter's gradient buffer is allocated once and reused") {
+    val x = AD.leaf(randMat(2, 3))
+    AD.backward(AD.sumAll(x))
+    val buf = x.grad
+    AD.backward(AD.scale(AD.sumAll(x), 2.0))
+    assert(x.grad eq buf)
+    assert(buf.approxEquals(Mat.fill(2, 3, 2.0)))
+  }
+
+  test("a second backward gives bit-identical gradients through a shared matmul parameter") {
+    // The second call reuses the zeroed buffers and the scratch for the
+    // shared parameter's later products.
+    val x1 = AD.input(randMat(4, 3)); val x2 = AD.input(randMat(4, 3))
+    val w = AD.leaf(randMat(3, 2)); val v = AD.leaf(randMat(2, 1))
+    def loss() = AD.sumAll(AD.tanh(AD.add(AD.matmul(AD.matmul(x1, w), v), AD.matmul(AD.matmul(x2, w), v))))
+    AD.backward(loss())
+    val (gw, gv) = (w.grad.copy(), v.grad.copy())
+    AD.backward(loss())
+    assert(java.util.Arrays.equals(w.grad.data, gw.data) && java.util.Arrays.equals(v.grad.data, gv.data))
   }
 
   test("grad: bceWithLogits") {
@@ -165,7 +211,7 @@ class ADSpec extends AnyFunSuite {
   test("grad flows through a full 2-layer MLP with BCE") {
     val y = Mat.colVec(Array(1.0, 0.0, 1.0, 1.0, 0.0))
     val ones = Mat.fill(5, 1, 1.0)
-    val x = AD.leaf(randMat(5, 6))
+    val x = AD.input(randMat(5, 6))
     gradCheck(leaves(randMat(6, 4), randMat(1, 4), randMat(4, 1), randMat(1, 1)), ls => {
       val h = AD.tanh(AD.addRowVec(AD.matmul(x, ls(0)), ls(1)))
       AD.bceWithLogits(AD.addRowVec(AD.matmul(h, ls(2)), ls(3)), y, ones)
@@ -175,7 +221,7 @@ class ADSpec extends AnyFunSuite {
   test("grad flows through an AdaMEL-shaped attention composite") {
     // 2 features, tiny dims: x_j = tanh(H_j V_j), e_j = tanh(x_j W) a,
     // g = softmax, z = g_j * x_j, loss = BCE(MLP(z)).
-    val h1 = AD.leaf(randMat(4, 3)); val h2 = AD.leaf(randMat(4, 3))
+    val h1 = AD.input(randMat(4, 3)); val h2 = AD.input(randMat(4, 3))
     val y = Mat.colVec(Array(1.0, 0.0, 0.0, 1.0))
     val ones = Mat.fill(4, 1, 1.0)
     gradCheck(
@@ -190,6 +236,14 @@ class ADSpec extends AnyFunSuite {
         val z2 = AD.mulColVec(x2, AD.colSlice(g, 1))
         AD.bceWithLogits(AD.matmul(AD.hcat(Seq(z1, z2)), ls(4)), y, ones)
       }, tol = 1e-4)
+  }
+
+  test("relu and klToConst propagate NaN instead of dropping it") {
+    val r = AD.relu(AD.input(Mat(1, 3)(Double.NaN, -1.0, 2.0))).v
+    assert(r(0, 0).isNaN && r(0, 1) == 0.0 && r(0, 2) == 2.0)
+    val g = AD.input(Mat.fill(2, 2, 0.5))
+    assert(AD.klToConst(g, Mat(1, 2)(Double.NaN, 0.5)).scalar.isNaN)
+    assert(AD.klToConst(g, Mat(1, 2)(0.0, 1.0)).scalar.isFinite)
   }
 
   test("gradient accumulates when a node is used twice") {

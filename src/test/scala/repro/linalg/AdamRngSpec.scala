@@ -100,4 +100,14 @@ class AdamRngSpec extends AnyFunSuite {
     }
     assert(losses.last < losses.head / 100)
   }
+
+  test("a parameter left off a step's tape gets a zero gradient, not the previous step's") {
+    val p = AD.leaf(Mat(1, 2)(0.5, -1.0)); val q = AD.leaf(Mat(1, 2)(2.0, 3.0))
+    val opt = new Adam(Seq(p, q), lr = 0.1)
+    opt.zeroGrad(); AD.backward(AD.sumAll(AD.mul(p, q))); opt.step()
+    assert(q.grad.data.forall(_ != 0.0))
+    opt.zeroGrad(); AD.backward(AD.sumAll(AD.mul(p, p)))
+    assert(q.grad.data.forall(_ == 0.0), s"stale gradient ${q.grad}")
+    assert(p.grad.approxEquals(p.v * 2.0, 1e-12))
+  }
 }

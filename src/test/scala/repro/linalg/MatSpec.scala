@@ -97,11 +97,10 @@ class MatSpec extends AnyFunSuite {
     assert(a.mulColVec(v).approxEquals(Mat(2, 3)(2, 4, 6, 40, 50, 60)))
   }
 
-  test("sum equals colSum total equals rowSum total") {
+  test("sum equals colSum total") {
     forAllDims { (r, c) =>
       val a = randMat(r, c)
       assert(math.abs(a.sum - a.colSum.sum) < 1e-9)
-      assert(math.abs(a.sum - a.rowSum.sum) < 1e-9)
     }
   }
 
@@ -109,9 +108,87 @@ class MatSpec extends AnyFunSuite {
     assert(Mat.fill(4, 3, 2.0).colMean.approxEquals(Mat.fill(1, 3, 2.0)))
   }
 
+  /** Random matrix with about a third of its entries exactly zero and,
+    * when it has more than one row, an all-zero row. */
+  private def sparseMat(r: Int, c: Int): Mat = {
+    val m = randMat(r, c).map(x => if (rng.nextDouble() < 0.33) 0.0 else x)
+    if (r > 1) { val z = rng.nextInt(r); (0 until c).foreach(m(z, _) = 0.0) }
+    m
+  }
+
+  /** Fixed edge shapes (1-row, 1-column, 1 x 1, and widths on both sides of
+    * matmulNT's 8-wide blocks) plus random ones. */
+  private val kernelShapes: Seq[(Int, Int, Int)] =
+    Seq((1, 1, 1), (1, 5, 3), (4, 1, 6), (5, 3, 1), (3, 7, 8), (6, 9, 17), (16, 32, 16), (16, 30, 13)) ++
+      (0 until 40).map(_ => (1 + rng.nextInt(12), 1 + rng.nextInt(12), 1 + rng.nextInt(20)))
+
+  test("%*% sums each entry over ascending p from 0.0, skipping zero factors, bit for bit") {
+    kernelShapes.foreach { case (k, r, c) =>
+      val a = sparseMat(r, k); val b = sparseMat(k, c)
+      val want = new Array[Double](r * c)
+      for (i <- 0 until r; j <- 0 until c) {
+        var s = 0.0
+        for (p <- 0 until k) if (a(i, p) != 0.0) s += a(i, p) * b(p, j)
+        want(i * c + j) = s
+      }
+      assert(java.util.Arrays.equals((a %*% b).data, want), s"$r x $k %*% $k x $c")
+    }
+  }
+
+  test("matmulTN equals a.t %*% b bit for bit") {
+    kernelShapes.foreach { case (k, r, c) =>
+      val a = sparseMat(k, r); val b = sparseMat(k, c)
+      val got = a.matmulTN(b); val want = a.t %*% b
+      assert(got.rows == r && got.cols == c)
+      assert(java.util.Arrays.equals(got.data, want.data), s"($k x $r)^T %*% $k x $c")
+    }
+  }
+
+  test("matmulNT equals a %*% b.t bit for bit") {
+    kernelShapes.foreach { case (k, r, c) =>
+      val a = sparseMat(r, k); val b = sparseMat(c, k)
+      val got = a.matmulNT(b); val want = a %*% b.t
+      assert(got.rows == r && got.cols == c)
+      assert(java.util.Arrays.equals(got.data, want.data), s"$r x $k %*% ($c x $k)^T")
+    }
+  }
+
+  test("matmulTN and matmulNT skip the zero factors %*% skips") {
+    // An exact zero times an infinity adds nothing in %*%; the kernels must
+    // skip the same products, or the NaN would show.
+    val a = Mat(2, 3)(0, 1, 2, 3, 0, 4)
+    val inf = Double.PositiveInfinity
+    val bTN = Mat(2, 2)(inf, 1, 2, inf)
+    assert(java.util.Arrays.equals(a.matmulTN(bTN).data, (a.t %*% bTN).data))
+    val bNT = Mat(2, 3)(inf, 1, 2, 3, inf, 5)
+    assert(java.util.Arrays.equals(a.matmulNT(bNT).data, (a %*% bNT.t).data))
+    assert(!(a %*% bNT.t).data.exists(_.isNaN))
+  }
+
+  test("matmulTN and matmulNT overwrite a given output") {
+    val a = sparseMat(5, 3); val b = sparseMat(5, 4); val c = sparseMat(2, 3)
+    val tn = Mat.fill(3, 4, 7.0); val nt = Mat.fill(5, 2, 7.0)
+    assert(a.matmulTN(b, tn) eq tn)
+    assert(java.util.Arrays.equals(tn.data, (a.t %*% b).data))
+    assert(a.matmulNT(c, nt) eq nt)
+    assert(java.util.Arrays.equals(nt.data, (a %*% c.t).data))
+    intercept[IllegalArgumentException](a.matmulTN(b, Mat.zeros(4, 3)))
+  }
+
+  test("matmulTN and matmulNT reject mismatched shapes") {
+    intercept[IllegalArgumentException](Mat.zeros(2, 3).matmulTN(Mat.zeros(3, 2)))
+    intercept[IllegalArgumentException](Mat.zeros(2, 3).matmulNT(Mat.zeros(3, 2)))
+  }
+
+  test("hcat of several parts keeps each part's columns in order") {
+    val parts = Seq(Mat(2, 1)(1, 2), Mat(2, 3)(3, 4, 5, 6, 7, 8), Mat(2, 1)(9, 10), Mat(2, 2)(11, 12, 13, 14))
+    assert(Mat.hcat(parts).approxEquals(Mat(2, 7)(1, 3, 4, 5, 9, 11, 12, 2, 6, 7, 8, 10, 13, 14), 0.0))
+    intercept[IllegalArgumentException](Mat.hcat(Seq(Mat.zeros(2, 1), Mat.zeros(3, 1))))
+  }
+
   test("hcat preserves both halves") {
     val a = Mat(2, 2)(1, 2, 3, 4); val b = Mat(2, 1)(9, 10)
-    val h = a.hcat(b)
+    val h = Mat.hcat(Seq(a, b))
     assert(h.cols == 3 && h(0, 2) == 9 && h(1, 2) == 10 && h(1, 1) == 4)
   }
 
