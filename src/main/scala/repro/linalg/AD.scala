@@ -81,12 +81,12 @@ object AD {
   }
 
   def mul(a: V, b: V): V = op(a.v * b.v, Seq(a, b)) { out =>
-    if (a.needsGrad) addProduct(a.grad, out.grad, b.v)
-    if (b.needsGrad) addProduct(b.grad, out.grad, a.v)
+    if (a.needsGrad) addHadamard(a.grad, out.grad, b.v)
+    if (b.needsGrad) addHadamard(b.grad, out.grad, a.v)
   }
 
   /** acc += x ⊙ y. */
-  private def addProduct(acc: Mat, x: Mat, y: Mat): Unit = {
+  private def addHadamard(acc: Mat, x: Mat, y: Mat): Unit = {
     var i = 0
     while (i < acc.size) { acc.data(i) += x.data(i) * y.data(i); i += 1 }
   }
