@@ -3,12 +3,15 @@ package repro.data
 import java.nio.ByteBuffer
 import java.security.MessageDigest
 
+import org.apache.spark.sql.{functions => F}
 import repro.SparkSpec
-import repro.er.{FeaturePipeline, PairBatch}
+import repro.er.{Blocking, FeaturePipeline, PairBatch}
 
 /** Golden `PairBatch`es of the four `Scenarios` paths on the `ScenariosSpec`
   * records: `build` overlapping and disjoint, `buildSplit` with a
-  * weak-label twin as the train pool, and `buildSingleDomain`.
+  * weak-label twin as the train pool, and `buildSingleDomain`; and of
+  * `build` overlapping on a small Monitor corpus blocked on `page_title`,
+  * whose largest blocks exceed `maxBlockSize`, so the block-size cap binds.
   *
   * Pins each split's size and a SHA-256 of its attributes, labels, sources,
   * token sets and feature bytes (perfbench's batch digest encoding), so a
@@ -22,39 +25,51 @@ class GoldenBatchesSpec extends SparkSpec {
   import ScenariosSpec.{cfg, weakLabelTwin}
 
   private lazy val records = ScenariosSpec.artistRecords(spark)
+  private lazy val monitors = RecordsDF.toDF(spark, MonitorGen.generate(MonitorConfig(nMonitors = 60, seed = 17)))
 
-  private val paths: Seq[(String, () => MELSplits)] = Seq(
-    "build overlapping" -> (() => Scenarios.build(records, MusicGen.seenSources, cfg)),
-    "build disjoint" -> (() => Scenarios.build(records, MusicGen.seenSources, cfg.copy(disjoint = true))),
-    "buildSplit (weak-label twin)" -> (() =>
-      Scenarios.buildSplit(weakLabelTwin(records), records, MusicGen.seenSources, cfg)),
-    "buildSingleDomain" -> (() => Scenarios.buildSingleDomain(records, cfg)),
+  /** Name, attributes and builder of each golden path. */
+  private val paths: Seq[(String, Seq[String], () => MELSplits)] = Seq(
+    ("build overlapping", MusicGen.attrs, () => Scenarios.build(records, MusicGen.seenSources, cfg)),
+    ("build disjoint", MusicGen.attrs,
+      () => Scenarios.build(records, MusicGen.seenSources, cfg.copy(disjoint = true))),
+    ("buildSplit (weak-label twin)", MusicGen.attrs,
+      () => Scenarios.buildSplit(weakLabelTwin(records), records, MusicGen.seenSources, cfg)),
+    ("buildSingleDomain", MusicGen.attrs, () => Scenarios.buildSingleDomain(records, cfg)),
+    ("Monitor build overlapping (capped blocks)", MonitorGen.attrs,
+      () => Scenarios.build(monitors, MonitorGen.seenSources.toSet, monitorCfg)),
   )
 
   /** (size, digest) of each split's batch, built and collected at `partitions`. */
-  private def batches(build: () => MELSplits, partitions: Int): Seq[(Int, String)] = {
+  private def batches(attrs: Seq[String], build: () => MELSplits, partitions: Int): Seq[(Int, String)] = {
     val key = "spark.sql.shuffle.partitions"
     val before = spark.conf.get(key)
     spark.conf.set(key, partitions.toString)
     try {
       val s = build()
       Seq(s.train, s.support, s.target, s.test)
-        .map(FeaturePipeline.collectBatch(_, MusicGen.attrs, Dim))
+        .map(FeaturePipeline.collectBatch(_, attrs, Dim))
         .map(b => (b.n, digest(b)))
     } finally spark.conf.set(key, before)
   }
 
   private val at64Memo = scala.collection.mutable.Map.empty[String, Seq[(Int, String)]]
-  private def at64(name: String, build: () => MELSplits) = at64Memo.getOrElseUpdate(name, batches(build, 64))
+  private def at64(name: String, attrs: Seq[String], build: () => MELSplits) =
+    at64Memo.getOrElseUpdate(name, batches(attrs, build, 64))
 
-  for ((name, build) <- paths) {
+  test("the Monitor fixture's largest page_title block exceeds maxBlockSize") {
+    val largest = Blocking.blockKeys(monitors, monitorCfg.blockAttr).groupBy("key").count()
+      .agg(F.max("count")).head().getLong(0)
+    assert(largest > monitorCfg.maxBlockSize, s"largest block $largest")
+  }
+
+  for ((name, attrs, build) <- paths) {
     test(s"$name: split sizes and batch digests match the golden values") {
-      val got = at64(name, build)
+      val got = at64(name, attrs, build)
       assert(got == Golden(name), s"$name (size, digest) per split: ${Splits.zip(got).mkString(", ")}")
     }
 
     test(s"$name: batches are identical at 1 and 64 shuffle partitions") {
-      Splits.zip(batches(build, 1)).zip(at64(name, build)).foreach { case ((split, one), many) =>
+      Splits.zip(batches(attrs, build, 1)).zip(at64(name, attrs, build)).foreach { case ((split, one), many) =>
         assert(one == many, s"$name $split: $one at 1 partition, $many at 64")
       }
     }
@@ -64,6 +79,13 @@ class GoldenBatchesSpec extends SparkSpec {
 object GoldenBatchesSpec {
   val Dim = 16
   val Splits: Seq[String] = Seq("train", "support", "target", "test")
+
+  /** The Monitor path's scenario: blocked on `page_title`, where tokens such
+    * as "monitor" (in every title) form blocks above the default cap of 50. */
+  val monitorCfg: ScenarioConfig = ScenarioConfig(
+    nTrainPos = 40, nTrainNeg = 80, nSupport = 20,
+    nTestPos = 40, nTestNeg = 60, nTargetExtra = 50,
+    blockAttr = "page_title", seed = 5)
 
   /** SHA-256 over the batch in perfbench's `Checks.digest` encoding (all 32 bytes). */
   def digest(b: PairBatch): String = {
@@ -105,6 +127,12 @@ object GoldenBatchesSpec {
       (20, "82cc131bf6fd446f804eeb3f76ee9a77ebf8e912fdbeb94206feb71ff9415220"),
       (100, "32a396732942f734c141e8f875e5fa18ffaec4fb99335299fefd0f29b238252f"),
       (100, "22f9db73e6a58c418fdc4d19bdb14dfd3cdf6635926bddfa1e52219dbc0c7681"),
+    ),
+    "Monitor build overlapping (capped blocks)" -> Seq(
+      (120, "e4c852bee4bbe8a3b23faef2cf9bf9ba42d5672503e8feb04336a6cce16d07a2"),
+      (20, "0728633facbeace58bb19db12ec1d49637d8af7f25f057bc5c364a1387dcea98"),
+      (162, "ab7b21ccd430678196db2e5440d197fa89e5d744580d48bf980159d681a0ff9f"),
+      (100, "dc4d6a35df59ee2e2e75e2dcef361caf87ad730fbd64f27ca0f61ea5b7e0e43a"),
     ),
   )
 }

@@ -55,6 +55,26 @@ class BlockingPairingSpec extends SparkSpec {
       "keys" -> keys)
   }
 
+  test("candidate pairs agree with a DuckDB oracle when the block-size cap binds") {
+    val keys = Blocking.blockKeys(records, "name")
+      .select(F.col("id").cast("string").as("id"), F.col("key"))
+    val cand = Blocking.candidates(records, "name", maxBlockSize = 4)
+      .select(F.col("id1").cast("string").as("id1"), F.col("id2").cast("string").as("id2"))
+    repro.Oracle.assertEquivalent(cand,
+      """SELECT DISTINCT a.id AS id1, b.id AS id2
+        |FROM keys a JOIN keys b ON a.key = b.key
+        |WHERE CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
+        |  AND a.key IN (SELECT key FROM keys GROUP BY key HAVING COUNT(*) <= 4)""".stripMargin,
+      "keys" -> keys)
+  }
+
+  test("a block of exactly maxBlockSize members is kept") {
+    // the "neil" block has 5 members; (3, 5) shares no other token
+    val pairs = Blocking.candidates(records, "name", maxBlockSize = 5).collect()
+      .map(r => (r.getAs[Long]("id1"), r.getAs[Long]("id2"))).toSet
+    assert(pairs.size == 11 && pairs.contains((3L, 5L)))
+  }
+
   test("positives pair same-entity records across different sources") {
     val pos = Pairing.positives(records).collect()
     val pairs = pos.map(r => (r.getAs[Long]("id1"), r.getAs[Long]("id2"))).toSet
