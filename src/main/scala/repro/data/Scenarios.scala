@@ -68,6 +68,11 @@ object Scenarios {
                  seenSources: Set[String], cfg: ScenarioConfig): MELSplits =
     splits(pools(trainRecords, cfg), pools(evalRecords, cfg), seenSources, cfg)
 
+  /** The pairs of `pool` whose `(id1, id2)` is not in `sample`; the sample is
+    * broadcast, so the pool is neither shuffled nor sorted. */
+  private def without(pool: DataFrame, sample: DataFrame): DataFrame =
+    pool.join(F.broadcast(sample.select("id1", "id2")), Seq("id1", "id2"), "left_anti")
+
   private def splits(trainPools: Pools, evalPools: Pools,
                      seenSources: Set[String], cfg: ScenarioConfig): MELSplits = {
     val seen1 = F.col("src1").isin(seenSources.toSeq: _*)
@@ -86,11 +91,8 @@ object Scenarios {
     val testNeg = Pairing.sample(tgtNeg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
-    val key = Seq("id1", "id2")
-    val supPos = Pairing.sample(
-      tgtPos.join(testPos.select("id1", "id2"), key, "left_anti"), cfg.nSupport / 2, cfg.seed + 5)
-    val supNeg = Pairing.sample(
-      tgtNeg.join(testNeg.select("id1", "id2"), key, "left_anti"), cfg.nSupport / 2, cfg.seed + 6)
+    val supPos = Pairing.sample(without(tgtPos, testPos), cfg.nSupport / 2, cfg.seed + 5)
+    val supNeg = Pairing.sample(without(tgtNeg, testNeg), cfg.nSupport / 2, cfg.seed + 6)
     val support = Pairing.finalizePairs(Seq(supPos, supNeg))
 
     // D_T: the unlabeled target domain — the test pairs plus extra unlabeled
@@ -110,7 +112,6 @@ object Scenarios {
     * pools and the test and support samples. */
   def buildSingleDomain(records: DataFrame, cfg: ScenarioConfig): MELSplits = {
     val Pools(pos, neg) = pools(records, cfg)
-    val key = Seq("id1", "id2")
 
     // test, the anti-joins and target read the test samples; support and
     // the train anti-joins read the support samples
@@ -118,16 +119,14 @@ object Scenarios {
     val testNeg = Pairing.sample(neg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
-    val remPos = pos.join(testPos.select(key.map(F.col): _*), key, "left_anti")
-    val remNeg = neg.join(testNeg.select(key.map(F.col): _*), key, "left_anti")
+    val remPos = without(pos, testPos)
+    val remNeg = without(neg, testNeg)
     val supPos = Pairing.sample(remPos, cfg.nSupport / 2, cfg.seed + 5).localCheckpoint()
     val supNeg = Pairing.sample(remNeg, cfg.nSupport / 2, cfg.seed + 6).localCheckpoint()
     val support = Pairing.finalizePairs(Seq(supPos, supNeg))
 
-    val trainPos = Pairing.sample(
-      remPos.join(supPos.select(key.map(F.col): _*), key, "left_anti"), cfg.nTrainPos, cfg.seed + 1)
-    val trainNeg = Pairing.sample(
-      remNeg.join(supNeg.select(key.map(F.col): _*), key, "left_anti"), cfg.nTrainNeg, cfg.seed + 2)
+    val trainPos = Pairing.sample(without(remPos, supPos), cfg.nTrainPos, cfg.seed + 1)
+    val trainNeg = Pairing.sample(without(remNeg, supNeg), cfg.nTrainNeg, cfg.seed + 2)
     val train = Pairing.finalizePairs(Seq(trainPos, trainNeg))
 
     val target = Pairing.finalizePairs(Seq(testPos, testNeg), unlabel = true)

@@ -1,6 +1,7 @@
 package repro.er
 
 import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.expressions.Window
 
 /** Token blocking for candidate-pair generation — the standard ER substrate
   * the paper's pipeline presumes ("techniques such as blocking or hashing
@@ -11,10 +12,11 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * attrs: map<string,string>` (`entity_id` is generator ground truth, used
   * only for labeling).
   *
-  * Blocking key = first token of a chosen attribute. Oversized blocks
-  * (frequent head tokens) are dropped, the usual guard against quadratic
-  * blow-up. Candidate generation is a distributed self-join on the key and
-  * is Oracle-checked against DuckDB in `BlockingPairingSpec`.
+  * Blocking keys = every distinct token of a chosen attribute (token
+  * blocking). Oversized blocks (frequent tokens) are dropped, the usual
+  * guard against quadratic blow-up (block purging). Candidate generation is
+  * a self-join on the key and is Oracle-checked against DuckDB in
+  * `BlockingPairingSpec`.
   */
 object Blocking {
 
@@ -31,15 +33,22 @@ object Blocking {
   }
 
   /** Candidate id pairs `(id1 < id2)` sharing a block key, with oversized
-    * blocks (> maxBlockSize members) removed. */
+    * blocks (> maxBlockSize members) removed.
+    *
+    * Runs a Spark job when called: the capped key table (`key, id,
+    * entity_id`, block sizes from one window over the key) is materialized
+    * once (`localCheckpoint`), so both sides of the self-join read it
+    * instead of each re-deriving the keys and block sizes. The join
+    * broadcasts one side. */
   def candidates(records: DataFrame, attr: String, maxBlockSize: Int = 50): DataFrame = {
-    val keys = blockKeys(records, attr)
-    val sized = keys.groupBy("key").agg(F.count("*").as("block_size"))
+    val kept = blockKeys(records, attr)
+      .withColumn("block_size", F.count("*").over(Window.partitionBy("key")))
       .where(F.col("block_size") <= maxBlockSize)
-    val kept = keys.join(sized, "key")
+      .select("key", "id", "entity_id")
+      .localCheckpoint()
     val l = kept.select(F.col("key"), F.col("id").as("id1"), F.col("entity_id").as("e1"))
     val r = kept.select(F.col("key"), F.col("id").as("id2"), F.col("entity_id").as("e2"))
-    l.join(r, "key")
+    l.join(F.broadcast(r), "key")
       .where(F.col("id1") < F.col("id2"))
       .select("id1", "id2", "e1", "e2")
       .distinct()

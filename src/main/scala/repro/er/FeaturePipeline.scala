@@ -68,9 +68,11 @@ object FeaturePipeline {
   }
 
   /** Runs the pipeline and collects a driver-side [[PairBatch]].
-    * Rows are ordered by `pair_id` so collection order is deterministic. */
+    * Rows are ordered by `pair_id` so collection order is deterministic; the
+    * driver sorts the collected rows, which saves Spark a sampling job, a
+    * shuffle and a sort per batch. */
   def collectBatch(pairs: DataFrame, attrs: Seq[String], dim: Int = HashEmbed.DefaultDim): PairBatch = {
-    val rows = features(pairs, attrs, dim).orderBy("pair_id").collect()
+    val rows = features(pairs, attrs, dim).collect().sortBy(_.getAs[Long]("pair_id"))
     val data = rows.map { r =>
       PairData(
         label = r.getAs[Double]("label"),

@@ -6,12 +6,17 @@ import org.apache.spark.sql.expressions.Window
 /** Builds labeled/unlabeled pair DataFrames from record DataFrames.
   *
   * Produces the pair schema expected by [[FeaturePipeline]]:
-  * `pair_id, label, src1, src2, a1, a2` (+ `e1`, `e2` ground-truth entity
-  * ids retained until [[finalize]] for split bookkeeping).
+  * `pair_id, label, src1, src2, a1, a2`, plus the ground-truth entity ids
+  * `e1`, `e2` and the record ids `id1`, `id2`, which [[finalizePairs]] keeps
+  * for split bookkeeping (labels, disjointness checks).
   *
   * All sampling is deterministic: candidate sets are ordered by
   * `xxhash64(id1, id2, seed)` before `limit`, so a (data, seed) pair always
   * yields the same batch regardless of partitioning.
+  *
+  * Joins whose build side is one record pool are broadcast: a pool is small
+  * enough to ship to every task, and a broadcast hash join needs no shuffle
+  * or sort of the other side.
   */
 object Pairing {
 
@@ -23,7 +28,7 @@ object Pairing {
   /** Cross-source positive pairs: two records of the same ground-truth entity
     * from different sources. */
   def positives(records: DataFrame): DataFrame =
-    side(records, 1).join(side(records, 2),
+    side(records, 1).join(F.broadcast(side(records, 2)),
         F.col("e1") === F.col("e2") && F.col("id1") < F.col("id2") &&
           F.col("src1") =!= F.col("src2"))
       .withColumn("label", F.lit(1.0))
@@ -36,7 +41,7 @@ object Pairing {
       .select("id1", "id2")
     val r1 = side(records, 1)
     val r2 = side(records, 2)
-    cand.join(r1, "id1").join(r2, "id2")
+    cand.join(F.broadcast(r1), "id1").join(F.broadcast(r2), "id2")
       .withColumn("label", F.lit(0.0))
   }
 
@@ -50,7 +55,7 @@ object Pairing {
       F.col("entity_id").as("e1"), F.col("attrs").as("a1"), F.col("rn"))
     val r2 = r.select(F.col("id").as("id2"), F.col("source").as("src2"),
       F.col("entity_id").as("e2"), F.col("attrs").as("a2"), F.col("rn"))
-    l2.join(r2, "rn")
+    l2.join(F.broadcast(r2), "rn")
       .where(F.col("e1") =!= F.col("e2"))
       .drop("rn")
       .withColumn("label", F.lit(0.0))

@@ -10,7 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * paper's contribution is the broadcast side. The pair pools do so with
+  * `F.broadcast` hints in `Blocking`, `Pairing` and `Scenarios`, whose
+  * small sides are one record pool or one sample.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -45,9 +45,7 @@ class ScenariosSpec extends SparkSpec {
   }
 
   test("support pairs do not overlap the test pairs") {
-    val t = overlapping.test.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val s = overlapping.support.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(t.intersect(s).isEmpty)
+    assert(unordered(overlapping.test).intersect(unordered(overlapping.support)).isEmpty)
   }
 
   test("target domain batch is fully unlabeled") {
@@ -83,15 +81,29 @@ class ScenariosSpec extends SparkSpec {
   private def keys(df: DataFrame): Set[(Long, Long)] =
     df.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
-  for ((name, splits) <- Seq("buildSplit (distinct pools)" -> (() => twin),
-                             "buildSingleDomain" -> (() => singleDomain))) {
+  /** Each pair as the set `{id1, id2}`: random negatives are not ordered, so
+    * one record pair can appear as `(a, b)` in one split and `(b, a)` in
+    * another. */
+  private def unordered(df: DataFrame): Set[Set[Long]] =
+    df.select("id1", "id2").collect().map(r => Set(r.getLong(0), r.getLong(1))).toSet
+
+  private val paths = Seq(
+    "build overlapping" -> (() => overlapping),
+    "build disjoint" -> (() => disjoint),
+    "buildSplit (distinct pools)" -> (() => twin),
+    "buildSingleDomain" -> (() => singleDomain))
+
+  for ((name, splits) <- paths) {
     test(s"$name: train, support and test are pairwise disjoint") {
       val s = splits()
-      val (tr, sup, te) = (keys(s.train), keys(s.support), keys(s.test))
+      val (tr, sup, te) = (unordered(s.train), unordered(s.support), unordered(s.test))
       assert(tr.intersect(te).isEmpty, "train ∩ test")
       assert(tr.intersect(sup).isEmpty, "train ∩ support")
       assert(te.intersect(sup).isEmpty, "test ∩ support")
     }
+  }
+
+  for ((name, splits) <- paths.drop(2)) {
 
     test(s"$name: support set is balanced 50/50") {
       val labels = splits().support.select("label").collect().map(_.getDouble(0))

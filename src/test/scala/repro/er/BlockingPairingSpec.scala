@@ -1,10 +1,12 @@
 package repro.er
 
-import org.apache.spark.sql.{functions => F}
+import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import repro.SparkSpec
 import repro.data.{Rec, RecordsDF}
 
-class BlockingPairingSpec extends SparkSpec {
+class BlockingPairingSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private def mkRecords(recs: Seq[Rec]) = RecordsDF.toDF(spark, recs)
 
@@ -112,6 +114,24 @@ class BlockingPairingSpec extends SparkSpec {
   test("random negatives never pair a record with its own entity") {
     val rn = Pairing.randomNegatives(records, seed = 5).collect()
     rn.foreach(r => assert(r.getAs[Long]("e1") != r.getAs[Long]("e2")))
+  }
+
+  test("the pair joins are planned as broadcast hash joins, not sort-merge joins") {
+    // The session turns auto-broadcast off, so only the explicit hints give
+    // these plans; a dropped hint brings back a shuffle and sort per side.
+    def joins(df: DataFrame): Seq[String] = collect(df.queryExecution.executedPlan) {
+      case _: BroadcastHashJoinExec => "broadcast"
+      case _: SortMergeJoinExec => "sort-merge"
+    }
+    Seq(
+      "candidates" -> Blocking.candidates(records, "name"),
+      "positives" -> Pairing.positives(records),
+      "hardNegatives" -> Pairing.hardNegatives(records, "name"),
+      "randomNegatives" -> Pairing.randomNegatives(records, seed = 5),
+    ).foreach { case (name, df) =>
+      val js = joins(df)
+      assert(js.contains("broadcast") && !js.contains("sort-merge"), s"$name plans $js")
+    }
   }
 
   test("sample is deterministic in seed") {

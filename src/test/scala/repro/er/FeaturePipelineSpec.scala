@@ -94,6 +94,17 @@ class FeaturePipelineSpec extends SparkSpec {
     assert(batch.pairs.forall(p => p.src1 == "sA" && p.src2 == "sB"))
   }
 
+  test("collectBatch orders pairs by pair_id whatever the partition order") {
+    // pair ids descend across four partitions; labels and sources follow the id
+    val rows = (12L to 1L by -1L).map { id =>
+      Row(id, (id % 2).toDouble, s"s$id", "sB", Map("title" -> s"t$id"), Map("title" -> "t"))
+    }
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), pairSchema)
+    val batch = FeaturePipeline.collectBatch(df, attrs, dim = 4)
+    assert(batch.pairs.map(_.src1).toSeq == (1 to 12).map(id => s"s$id"))
+    assert(batch.labels.toSeq == (1 to 12).map(id => (id % 2).toDouble))
+  }
+
   test("featureMat stacks per-pair features row-wise") {
     val batch = FeaturePipeline.collectBatch(samplePairs, attrs, dim = 4)
     val m0 = batch.featureMat(0)
