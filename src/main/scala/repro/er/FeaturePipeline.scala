@@ -68,9 +68,9 @@ object FeaturePipeline {
   }
 
   /** Runs the pipeline and collects a driver-side [[PairBatch]].
-    * Rows are ordered by `pair_id` so collection order is deterministic; the
-    * driver sorts the collected rows, which saves Spark a sampling job, a
-    * shuffle and a sort per batch. */
+    * Rows are ordered by `pair_id` so collection order is deterministic. The
+    * driver sorts the collected rows: a Spark global sort would add a
+    * range-partitioning shuffle unless the pairs sit in one partition. */
   def collectBatch(pairs: DataFrame, attrs: Seq[String], dim: Int = HashEmbed.DefaultDim): PairBatch = {
     val rows = features(pairs, attrs, dim).collect().sortBy(_.getAs[Long]("pair_id"))
     val data = rows.map { r =>

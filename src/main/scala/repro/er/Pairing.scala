@@ -34,7 +34,8 @@ object Pairing {
       .withColumn("label", F.lit(1.0))
 
   /** Hard negatives: different entities sharing a block key on `blockAttr`
-    * (e.g. a title word) — the pairs naive matchers confuse. */
+    * (e.g. a title word) — the pairs naive matchers confuse. Runs the Spark
+    * job of [[Blocking.candidates]] when called. */
   def hardNegatives(records: DataFrame, blockAttr: String, maxBlockSize: Int = 50): DataFrame = {
     val cand = Blocking.candidates(records, blockAttr, maxBlockSize)
       .where(F.col("e1") =!= F.col("e2"))

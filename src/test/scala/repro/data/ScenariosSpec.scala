@@ -87,13 +87,14 @@ class ScenariosSpec extends SparkSpec {
   private def unordered(df: DataFrame): Set[Set[Long]] =
     df.select("id1", "id2").collect().map(r => Set(r.getLong(0), r.getLong(1))).toSet
 
-  private val paths = Seq(
+  private val buildPaths = Seq(
     "build overlapping" -> (() => overlapping),
-    "build disjoint" -> (() => disjoint),
+    "build disjoint" -> (() => disjoint))
+  private val otherPaths = Seq(
     "buildSplit (distinct pools)" -> (() => twin),
     "buildSingleDomain" -> (() => singleDomain))
 
-  for ((name, splits) <- paths) {
+  for ((name, splits) <- buildPaths ++ otherPaths) {
     test(s"$name: train, support and test are pairwise disjoint") {
       val s = splits()
       val (tr, sup, te) = (unordered(s.train), unordered(s.support), unordered(s.test))
@@ -103,7 +104,7 @@ class ScenariosSpec extends SparkSpec {
     }
   }
 
-  for ((name, splits) <- paths.drop(2)) {
+  for ((name, splits) <- otherPaths) {
 
     test(s"$name: support set is balanced 50/50") {
       val labels = splits().support.select("label").collect().map(_.getDouble(0))
