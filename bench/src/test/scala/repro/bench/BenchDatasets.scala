@@ -102,7 +102,4 @@ object BenchDatasets {
     }
 
   private def scen(disjoint: Boolean): String = if (disjoint) "disjoint" else "overlapping"
-
-  def fmtRow(label: String, cells: Seq[String], w: Int = 20): String =
-    (label.padTo(26, ' ') +: cells.map(_.padTo(w, ' '))).mkString("| ", " | ", " |")
 }

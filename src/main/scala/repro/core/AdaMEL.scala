@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.er.{Batching, PairBatch}
-import repro.linalg.{AD, Mat, Rng}
+import repro.linalg.{AD, Buffers, Mat, Rng}
 
 /** Which loss the model trains with (paper §4.4). */
 sealed trait Variant { def name: String }
@@ -57,7 +57,8 @@ final case class AdaMELConfig(
   * deviations from Algorithms 1-3 are listed in DESIGN.md §5). The
   * target-domain average attention (Eq. 10) and the support-set weights
   * (Eq. 12) are recomputed each epoch from the current parameters, exactly
-  * as Algorithms 1-3 do per epoch.
+  * as Algorithms 1-3 do per epoch, in the epoch's [[Buffers]] scope, which
+  * the batch steps' scopes nest in.
   */
 final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vector[String]) {
   import config._
@@ -128,6 +129,8 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
     require(!usesTarget || target.nonEmpty, s"${variant.name} requires the unlabeled target domain")
     require(!usesSupport || support.nonEmpty, s"${variant.name} requires the labeled support set")
     require(source.n > 0, s"${variant.name}: fit on an empty source batch")
+    require(!usesTarget || target.get.n > 0, s"${variant.name}: fit on an empty target batch")
+    require(!usesSupport || support.get.n > 0, s"${variant.name}: fit on an empty support batch")
     if (usesSupport) {
       val pos = source.labels.count(_ == 1.0)
       require(pos > 0 && pos < source.n, s"${variant.name}: the source needs both classes for the " +
@@ -147,7 +150,7 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
       (g, Trainer.bce(s, ySrc.rowsAt(idx)))
     }
 
-    Vector.fill(epochs) {
+    Vector.fill(epochs)(Buffers.scoped {
       val targetAvg = tgtFeats.map(targetAverage(_, epochRng))
       val supWeights = sup.map(supportWeights(source, srcFeats, _, epochRng))
 
@@ -173,13 +176,15 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
         // L_ssl carry comparable evidence (a 16-row anchor against 100
         // support rows lets the support gradient dominate the step).
         val anchor = Batching.balancedBatches(source.labels, math.max(batchSize, s.n), epochRng).head
-        val (_, lAnchor) = baseLoss(anchor)
-        val (_, sSup) = forward(selFeats(s))
-        val lSupport = AD.bceWithLogits(sSup, s.labelCol, wts)
-        trainer.step(Loss(AD.add(lAnchor, AD.scale(lSupport, phi)), "L_base" -> lAnchor, "L_support" -> lSupport))
+        trainer.step {
+          val (_, lAnchor) = baseLoss(anchor)
+          val (_, sSup) = forward(selFeats(s))
+          val lSupport = AD.bceWithLogits(sSup, s.labelCol, wts)
+          Loss(AD.add(lAnchor, AD.scale(lSupport, phi)), "L_base" -> lAnchor, "L_support" -> lSupport)
+        }
       }
       (batchLoss + supportLoss.getOrElse(0.0)) / math.max(steps, 1)
-    }
+    })
   }
 
   /** Eq. (10): attention averaged over D_T with the current parameters,

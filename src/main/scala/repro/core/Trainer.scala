@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.er.Batching
-import repro.linalg.{AD, Adam, Mat, Rng}
+import repro.linalg.{AD, Adam, Buffers, Mat, Rng}
 
 /** The classifier head Θ: `relu(x·W1 + b1)·W2 + b2`, or the linear
   * `x·W2 + b2` when `hidden = 0` (logistic regression). AdaMEL applies it to
@@ -29,17 +29,21 @@ final case class Loss(total: AD.V, terms: (String, AD.V)*)
 
 /** The one training loop of AdaMEL and the baselines: decoupled-weight-decay
   * Adam over a fixed parameter set, stepped on class-stratified mini-batches
-  * (see [[Batching]]).
+  * (see [[Batching]]). Each step builds its loss, runs `backward` and steps
+  * Adam in one [[Buffers]] scope, so the next step reuses its arrays; a
+  * `Trainer` is therefore created outside every scope.
   */
 final class Trainer(params: Seq[AD.V], lr: Double, weightDecay: Double) {
   private val opt = new Adam(params, lr, weightDecay = weightDecay)
   private var epochNo = 0 // epochs begun, from 1
   private var stepNo = 0  // steps taken in the current epoch, from 1
 
-  /** One optimizer step on `loss`; returns its value. Throws an
-    * `ArithmeticException` naming the epoch, the step and the non-finite
-    * terms if the objective is not finite, before any parameter moves. */
-  def step(loss: Loss): Double = {
+  /** One optimizer step on the loss `buildLoss` builds, in the step's
+    * buffer scope; returns its value. Throws an `ArithmeticException` naming the epoch,
+    * the step and the non-finite terms if the objective is not finite,
+    * before any parameter moves. */
+  def step(buildLoss: => Loss): Double = Buffers.scoped {
+    val loss = buildLoss
     stepNo += 1
     val value = loss.total.scalar
     if (!value.isFinite) {

@@ -77,15 +77,6 @@ object Harness {
     Result(makeRunner(seeds.head).name, runs)
   }
 
-  def evalF1(data: MELData, makeRunner: Long => MethodRunner,
-             seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
-    val runs = seeds.map { s =>
-      val r = makeRunner(s)
-      Metrics.bestF1(r.run(data), data.test.labels)
-    }
-    Result(makeRunner(seeds.head).name, runs)
-  }
-
   /** Wall-clock of a single fit+score run, in seconds (Fig. 9 table). */
   def timedRun(data: MELData, runner: MethodRunner): (Array[Double], Double) = {
     val t0 = System.nanoTime()

@@ -12,10 +12,12 @@ import scala.collection.mutable.ArrayBuffer
   * Data enters as constants ([[AD.input]]): a constant, and every node
   * computed from constants only, gets no gradient, so `backward` neither
   * visits it nor computes, say, the N x D input gradient of a `matmul`.
-  * Gradient buffers are allocated in `backward`, never in a forward pass; a
-  * parameter's buffer is allocated once and zero-filled on each later call.
-  * Every gradient is bit-identical to accumulating each op's contribution,
-  * computed on its own, into a zeroed buffer.
+  * A parameter's gradient buffer is allocated with it, outside every
+  * [[Buffers]] scope, and zero-filled by each `backward`; any other node's
+  * is allocated in `backward`, never in a forward pass, and inside a scope
+  * is recycled with the node's value when the scope closes. Every gradient
+  * is bit-identical to accumulating each op's contribution, computed on its
+  * own, into a zeroed buffer.
   *
   * The op set is what the AdaMEL losses and the baseline MLPs need, plus
   * `mul` and `sumAll`, the weighting and the reducer of the
@@ -24,9 +26,11 @@ import scala.collection.mutable.ArrayBuffer
 object AD {
 
   final class V private[AD] (val v: Mat, val parents: Seq[V], bw: V => Unit, val needsGrad: Boolean) {
-    private var g: Mat = null
+    private val isParameter = needsGrad && parents.isEmpty
+    private var g: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
     private var gIsZero = false // g is zero-filled and not handed out since
-    private var scratch: Mat = null // a parameter's buffer for a product it adds to g
+    // a parameter's buffer for a product it adds to g
+    private[linalg] val scratch: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
 
     /** The gradient the last [[backward]] through this node accumulated
       * (zeros before any). A constant has none. */
@@ -47,10 +51,7 @@ object AD {
     private[AD] def addProduct(product: Mat => Mat): Unit =
       if (g == null) g = product(null)
       else {
-        val into = if (gIsZero) g else if (parents.nonEmpty) null else {
-          if (scratch == null) scratch = Mat.zeros(v.rows, v.cols)
-          scratch
-        }
+        val into = if (gIsZero) g else scratch
         val p = product(into)
         if (p ne g) g.addInPlace(p)
         gIsZero = false
@@ -64,8 +65,12 @@ object AD {
   private def op(value: Mat, parents: Seq[V])(bw: V => Unit): V =
     new V(value, parents, bw, parents.exists(_.needsGrad))
 
-  /** A parameter: a leaf whose gradient [[backward]] accumulates. */
-  def leaf(m: Mat): V = new V(m, Nil, _ => (), needsGrad = true)
+  /** A parameter: a leaf whose gradient [[backward]] accumulates. Created
+    * outside every [[Buffers]] scope, so its buffers are never recycled. */
+  def leaf(m: Mat): V = {
+    require(!Buffers.inScope, "a parameter is created outside every buffer scope")
+    new V(m, Nil, _ => (), needsGrad = true)
+  }
 
   /** A constant (data, labels): a leaf with no gradient. */
   def input(m: Mat): V = new V(m, Nil, _ => (), needsGrad = false)
@@ -141,7 +146,7 @@ object AD {
 
   /** Row-wise softmax of an N x F matrix. */
   def softmaxRows(a: V): V = {
-    val y = Mat.zeros(a.v.rows, a.v.cols)
+    val y = Mat.uninit(a.v.rows, a.v.cols)
     var r = 0
     while (r < a.v.rows) {
       var mx = Double.NegativeInfinity
@@ -178,7 +183,7 @@ object AD {
   /** Column j of an N x C matrix as an N x 1 node. */
   def colSlice(a: V, j: Int): V = {
     require(j >= 0 && j < a.v.cols, s"colSlice $j out of ${a.v.cols}")
-    val y = Mat.zeros(a.v.rows, 1)
+    val y = Mat.uninit(a.v.rows, 1)
     var r = 0
     while (r < a.v.rows) { y(r, 0) = a.v(r, j); r += 1 }
     op(y, Seq(a)) { out =>

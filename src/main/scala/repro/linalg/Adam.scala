@@ -4,7 +4,8 @@ package repro.linalg
   *
   * Holds first/second moment buffers per parameter. Parameters are the
   * [[AD.V]] leaves whose `grad` is populated by [[AD.backward]]; `step`
-  * applies the update in place on their value matrices.
+  * applies the update in place on their value matrices. The moments live
+  * across steps, so an `Adam` is created outside every [[Buffers]] scope.
   *
   * @param weightDecay decoupled (AdamW-style) L2 shrinkage applied at each
   *                    step — the substrate-scale regularizer that stands in
@@ -14,8 +15,9 @@ package repro.linalg
 final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
                  beta1: Double = 0.9, beta2: Double = 0.999, eps: Double = 1e-8,
                  weightDecay: Double = 0.0) {
-  private val m = params.map(p => Mat.zeros(p.v.rows, p.v.cols)).toArray
-  private val v = params.map(p => Mat.zeros(p.v.rows, p.v.cols)).toArray
+  require(!Buffers.inScope, "Adam's moments are created outside every buffer scope")
+  private[linalg] val m = params.map(p => Mat.zeros(p.v.rows, p.v.cols)).toArray
+  private[linalg] val v = params.map(p => Mat.zeros(p.v.rows, p.v.cols)).toArray
   private var t = 0
 
   def step(): Unit = {

@@ -6,7 +6,8 @@ package repro.linalg
   * models in this repo are small (tens of thousands of parameters), so a
   * simple, allocation-explicit implementation is both fast enough and easy
   * to verify. All operations are pure (return new matrices) unless the name
-  * ends in `InPlace`.
+  * ends in `InPlace`. Inside a [[Buffers]] scope the new matrices' data
+  * arrays are recycled ones, valid until the scope closes.
   */
 final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends Serializable {
   require(data.length == rows * cols, s"data length ${data.length} != $rows x $cols")
@@ -19,7 +20,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   def copy(): Mat = new Mat(rows, cols, data.clone())
 
   def map(f: Double => Double): Mat = {
-    val out = new Array[Double](size)
+    val out = Buffers.array(size)
     var i = 0
     while (i < size) { out(i) = f(data(i)); i += 1 }
     new Mat(rows, cols, out)
@@ -28,7 +29,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   def zip(that: Mat)(f: (Double, Double) => Double): Mat = {
     require(rows == that.rows && cols == that.cols,
       s"shape mismatch: ${rows}x$cols vs ${that.rows}x${that.cols}")
-    val out = new Array[Double](size)
+    val out = Buffers.array(size)
     var i = 0
     while (i < size) { out(i) = f(data(i), that.data(i)); i += 1 }
     new Mat(rows, cols, out)
@@ -55,7 +56,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   def %*%(that: Mat): Mat = {
     require(cols == that.rows, s"matmul shape mismatch: ${rows}x$cols %*% ${that.rows}x${that.cols}")
     val out = Mat.zeros(rows, that.cols)
-    val nz = new Mat.NonZeros(cols)
+    val nz = Buffers.nonZeros(cols)
     var i = 0
     while (i < rows) {
       nz.gather(data, i * cols, 1, cols)
@@ -71,7 +72,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   def matmulTN(that: Mat, into: Mat = null): Mat = {
     require(rows == that.rows, s"matmulTN shape mismatch: (${rows}x$cols)^T %*% ${that.rows}x${that.cols}")
     val out = Mat.zeroed(into, cols, that.cols)
-    val nz = new Mat.NonZeros(rows)
+    val nz = Buffers.nonZeros(rows)
     var i = 0
     while (i < cols) {
       nz.gather(data, i, cols, rows) // column i of this
@@ -83,11 +84,12 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
   /** `this %*% that.t` for `this` (r x k) and `that` (c x k), without
     * building the transpose; bit-identical to `this %*% that.t`. Overwrites
-    * `into` (r x c) when given, else returns a new matrix. */
+    * `into` (r x c) when given, else returns a new matrix. Every entry is
+    * written, not accumulated, so neither needs zeroing. */
   def matmulNT(that: Mat, into: Mat = null): Mat = {
     require(cols == that.cols, s"matmulNT shape mismatch: ${rows}x$cols %*% (${that.rows}x${that.cols})^T")
-    val out = Mat.zeroed(into, rows, that.rows)
-    val nz = new Mat.NonZeros(cols)
+    val out = if (into == null) Mat.uninit(rows, that.rows) else Mat.checkShape(into, rows, that.rows)
+    val nz = Buffers.nonZeros(cols)
     var i = 0
     while (i < rows) {
       nz.gather(data, i * cols, 1, cols)
@@ -98,7 +100,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   }
 
   def t: Mat = {
-    val out = new Array[Double](size)
+    val out = Buffers.array(size)
     var r = 0
     while (r < rows) {
       var c = 0
@@ -111,7 +113,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   /** Add a 1 x cols row vector to every row. */
   def addRowVec(v: Mat): Mat = {
     require(v.rows == 1 && v.cols == cols, s"row-vec shape: ${v.rows}x${v.cols} for cols=$cols")
-    val out = new Array[Double](size)
+    val out = Buffers.array(size)
     var r = 0
     while (r < rows) {
       var c = 0
@@ -124,7 +126,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   /** Multiply every row elementwise by a rows x 1 column vector (broadcast across cols). */
   def mulColVec(v: Mat): Mat = {
     require(v.rows == rows && v.cols == 1, s"col-vec shape: ${v.rows}x${v.cols} for rows=$rows")
-    val out = new Array[Double](size)
+    val out = Buffers.array(size)
     var r = 0
     while (r < rows) {
       val k = v.data(r)
@@ -139,7 +141,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
   /** 1 x cols vector of column sums. */
   def colSum: Mat = {
-    val out = new Array[Double](cols)
+    val out = Buffers.zeroedArray(cols)
     var r = 0
     while (r < rows) {
       var c = 0
@@ -153,7 +155,7 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
   /** Select a subset of rows (used for mini-batching). */
   def rowsAt(idx: Array[Int]): Mat = {
-    val out = new Array[Double](idx.length * cols)
+    val out = Buffers.array(idx.length * cols)
     var i = 0
     while (i < idx.length) {
       System.arraycopy(data, idx(i) * cols, out, i * cols, cols)
@@ -176,7 +178,11 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 }
 
 object Mat {
-  def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
+  def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, Buffers.zeroedArray(rows * cols))
+
+  /** A matrix whose entries are unspecified (inside a [[Buffers]] scope, an
+    * earlier step's values): the caller writes every one. */
+  private[linalg] def uninit(rows: Int, cols: Int): Mat = new Mat(rows, cols, Buffers.array(rows * cols))
 
   /** Horizontal concatenation of matrices with equal row counts, in one pass. */
   def hcat(parts: Seq[Mat]): Mat = {
@@ -184,7 +190,7 @@ object Mat {
     val rows = parts.head.rows
     require(parts.forall(_.rows == rows), "hcat row mismatch")
     val cols = parts.iterator.map(_.cols).sum
-    val out = new Array[Double](rows * cols)
+    val out = Buffers.array(rows * cols)
     var off = 0
     parts.foreach { m =>
       var r = 0
@@ -198,7 +204,7 @@ object Mat {
     * factors of one output row of a product. The products of an output
     * entry are added one at a time, in that order, as `%*%` defines; the
     * loops below only interleave the work on different entries. */
-  private final class NonZeros(capacity: Int) {
+  private[linalg] final class NonZeros(val capacity: Int) {
     private val at = new Array[Int](capacity)
     private val x = new Array[Double](capacity)
     private var n = 0
@@ -270,13 +276,18 @@ object Mat {
   /** `into` zero-filled, or a new zero matrix when `into` is null. */
   private def zeroed(into: Mat, rows: Int, cols: Int): Mat =
     if (into == null) zeros(rows, cols)
-    else {
-      require(into.rows == rows && into.cols == cols, s"output ${into.rows}x${into.cols}, expected ${rows}x$cols")
-      java.util.Arrays.fill(into.data, 0.0)
-      into
-    }
+    else { java.util.Arrays.fill(checkShape(into, rows, cols).data, 0.0); into }
 
-  def fill(rows: Int, cols: Int, v: Double): Mat = new Mat(rows, cols, Array.fill(rows * cols)(v))
+  private def checkShape(into: Mat, rows: Int, cols: Int): Mat = {
+    require(into.rows == rows && into.cols == cols, s"output ${into.rows}x${into.cols}, expected ${rows}x$cols")
+    into
+  }
+
+  def fill(rows: Int, cols: Int, v: Double): Mat = {
+    val out = Buffers.array(rows * cols)
+    java.util.Arrays.fill(out, v)
+    new Mat(rows, cols, out)
+  }
 
   def apply(rows: Int, cols: Int)(vals: Double*): Mat = {
     require(vals.length == rows * cols, "literal size mismatch")

@@ -77,6 +77,22 @@ class AdaMELSpec extends AnyFunSuite {
     }
   }
 
+  test("zero and hyb reject an empty target, few and hyb an empty support set, naming the variant and the split") {
+    val support = TestPairs.separable(30, dim, seed = 9)
+    def failure(v: Variant, target: PairBatch, sup: PairBatch): String =
+      intercept[IllegalArgumentException](
+        new AdaMEL(cfg(v, epochs = 1), dim, train.featureNames).fit(train, Some(target), Some(sup))).getMessage
+    val none = Array.empty[Int]
+    for (v <- Seq(Variant.Zero, Variant.Hyb)) {
+      val e = failure(v, test.subset(none), support)
+      assert(e.contains(v.name) && e.contains("empty target"), e)
+    }
+    for (v <- Seq(Variant.Few, Variant.Hyb)) {
+      val e = failure(v, test, support.subset(none))
+      assert(e.contains(v.name) && e.contains("empty support"), e)
+    }
+  }
+
   test("few and hyb need both classes in the source (Eq. 11 centroids are per class)") {
     val support = TestPairs.separable(30, dim, seed = 9)
     for (v <- Seq(Variant.Few, Variant.Hyb); source <- Seq(train.positives, train.negatives)) {
