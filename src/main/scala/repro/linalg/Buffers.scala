@@ -39,15 +39,14 @@ object Buffers {
 
   /** `n` doubles whose entries are unspecified (inside a scope, an earlier
     * step's values): the caller writes every one. */
-  private[linalg] def array(n: Int): Array[Double] = {
-    val pool = pools.get
-    if (pool == null || pool.depth == 0 || n == 0) new Array[Double](n) else pool.take(n, zero = false)
-  }
+  private[linalg] def array(n: Int): Array[Double] = take(n, zero = false)
 
   /** `n` zeros. */
-  private[linalg] def zeroedArray(n: Int): Array[Double] = {
+  private[linalg] def zeroedArray(n: Int): Array[Double] = take(n, zero = true)
+
+  private def take(n: Int, zero: Boolean): Array[Double] = {
     val pool = pools.get
-    if (pool == null || pool.depth == 0 || n == 0) new Array[Double](n) else pool.take(n, zero = true)
+    if (pool == null || pool.depth == 0 || n == 0) new Array[Double](n) else pool.take(n, zero)
   }
 
   /** The gather scratch of one product with `capacity` factors per row: the

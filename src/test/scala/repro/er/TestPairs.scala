@@ -54,8 +54,9 @@ object TestPairs {
 
   /** A task of Monitor's shape: `attrs` attributes, so F = 2·attrs features.
     * Attributes 0 and 1 are informative as in [[separable]]; of the others,
-    * every third is missing in both records (all-zero feature rows) and the
-    * rest hold 0-2 random tokens per record. */
+    * every third is missing in both records (its sim and uni features are
+    * [[HashEmbed.missingVector]]) and the rest hold 0-2 random tokens per
+    * record. */
   def wide(n: Int, attrs: Int, dim: Int, seed: Long): PairBatch = {
     val rng = new Rng(seed)
     val vocab = Vector.tabulate(200)(i => s"tok$i")
