@@ -94,24 +94,66 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
   }
 
   /** Detached (no-tape-reuse) forward for inference / statistics: returns
-    * (attention N x F, match probability N x 1). */
+    * (attention N x F, match probability N x 1), in one pass over the whole
+    * batch. [[scores]] and [[attention]] give its values in chunks; the
+    * tests hold them to it bit for bit. */
   def forwardPlain(batch: PairBatch): (Mat, Mat) = {
     val (g, s) = forward(selFeats(batch))
     (g.v, s.v.map(x => 1.0 / (1.0 + math.exp(-x))))
   }
 
-  def scores(batch: PairBatch): Array[Double] = forwardPlain(batch)._2.data
+  /** Match probabilities, bit-identical to [[forwardPlain]]'s. */
+  def scores(batch: PairBatch): Array[Double] = {
+    val out = new Array[Double](batch.n)
+    forwardChunks(batch) { (start, _, s) =>
+      var i = 0
+      while (i < s.rows) { out(start + i) = 1.0 / (1.0 + math.exp(-s.data(i))); i += 1 }
+    }
+    out
+  }
 
   /** Attention averaged over a batch — the learned feature importance
-    * reported in Table 4. Sums to 1. */
-  def attention(batch: PairBatch): Array[Double] = forwardPlain(batch)._1.colMean.data
+    * reported in Table 4. Sums to 1. Bit-identical to the `colMean` of
+    * [[forwardPlain]]'s attention: the rows are summed in row order, then
+    * scaled by 1/n. */
+  def attention(batch: PairBatch): Array[Double] = {
+    val sum = new Array[Double](numFeatures)
+    forwardChunks(batch) { (_, g, _) =>
+      var k = 0
+      while (k < g.size) { sum(k % numFeatures) += g.data(k); k += 1 }
+    }
+    val inv = 1.0 / batch.n
+    var j = 0
+    while (j < numFeatures) { sum(j) *= inv; j += 1 }
+    sum
+  }
+
+  /** Runs [[forward]] over the batch in chunks of [[AdaMEL.ScoreChunk]]
+    * rows, each in its own [[Buffers]] scope, so every chunk after the first
+    * full one reuses its arrays; `use(start, attention, logits)` reads a
+    * chunk's values before its scope closes. `forward` is row-local, so
+    * each row's values are those of one pass over the whole batch. */
+  private def forwardChunks(batch: PairBatch)(use: (Int, Mat, Mat) => Unit): Unit = {
+    val feats = selFeats(batch)
+    var start = 0
+    while (start < batch.n) {
+      val end = math.min(start + AdaMEL.ScoreChunk, batch.n)
+      val rows = Array.range(start, end)
+      Buffers.scoped {
+        val (g, s) = forward(feats.map(_.rowsAt(rows)))
+        use(start, g.v, s.v)
+      }
+      start = end
+    }
+  }
 
   def attentionReport(batch: PairBatch, topK: Int = 5): Seq[(String, Double)] =
     featureNames.zip(attention(batch)).sortBy(-_._2).take(topK)
 
-  private def euclid(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+  /** Euclidean distance of row `i` of `m` to `c`, summed in column order. */
+  private def rowDistance(m: Mat, i: Int, c: Array[Double]): Double = {
+    var s = 0.0; var j = 0
+    while (j < c.length) { val d = m(i, j) - c(j); s += d * d; j += 1 }
     math.sqrt(s)
   }
 
@@ -224,15 +266,18 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
     val cPos = centroid(pos); val cNeg = centroid(neg)
     def meanDist(idx: Seq[Int], c: Array[Double]): Double =
       if (idx.isEmpty) 1.0
-      else math.max(idx.map(i => euclid(Array.tabulate(numFeatures)(gS(i, _)), c)).sum / idx.size, 1e-6)
+      else {
+        var s = 0.0
+        idx.foreach(i => s += rowDistance(gS, i, c))
+        math.max(s / idx.size, 1e-6)
+      }
     val dPos = meanDist(pos, cPos); val dNeg = meanDist(neg, cNeg)
     val gSup = forward(selFeats(sup))._1.v
     // Eq. (12) weights d/d̄, clipped: when the source attention collapses
     // toward a point, d̄ -> 0 and unclipped ratios explode, making the
     // support loss fit a handful of outliers (observed on Monitor).
     Mat.colVec(Array.tabulate(sup.n) { i =>
-      val fi = Array.tabulate(numFeatures)(gSup(i, _))
-      val r = if (sup.labels(i) == 1.0) euclid(fi, cPos) / dPos else euclid(fi, cNeg) / dNeg
+      val r = if (sup.labels(i) == 1.0) rowDistance(gSup, i, cPos) / dPos else rowDistance(gSup, i, cNeg) / dNeg
       math.min(math.max(r, 0.1), 10.0)
     })
   }
@@ -241,6 +286,9 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
 object AdaMEL {
   /** Rows that estimate the per-epoch Eq. (10) and Eq. (11) statistics. */
   private val EstimateRows = 400
+
+  /** Rows per [[AdaMEL.forwardChunks]] pass when scoring. */
+  private val ScoreChunk = 256
 
   /** Convenience: build + fit in one call. */
   def fitted(config: AdaMELConfig, source: PairBatch,

@@ -1,6 +1,11 @@
 package repro.er
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.ArrayData
+import org.apache.spark.sql.execution.SQLExecution
 import repro.text.{HashEmbed, Tokenizer}
 
 /** One pair's per-attribute token sets and its flat F x D feature vector. */
@@ -70,19 +75,35 @@ object FeaturePipeline {
   /** Runs the pipeline and collects a driver-side [[PairBatch]].
     * Rows are ordered by `pair_id` so collection order is deterministic. The
     * driver sorts the collected rows: a Spark global sort would add a
-    * range-partitioning shuffle unless the pairs sit in one partition. */
+    * range-partitioning shuffle unless the pairs sit in one partition.
+    *
+    * The rows are read as the executed plan's internal (binary) rows, as
+    * `Dataset.collect` runs them, but without decoding each into a `Row`:
+    * that would box every feature double, F x D of them per pair. */
   def collectBatch(pairs: DataFrame, attrs: Seq[String], dim: Int = HashEmbed.DefaultDim): PairBatch = {
-    val rows = features(pairs, attrs, dim).collect().sortBy(_.getAs[Long]("pair_id"))
+    val df = features(pairs, attrs, dim)
+    val Seq(id, label, src1, src2, toks1, toks2, feats) =
+      Seq("pair_id", "label", "src1", "src2", "toks1", "toks2", "features").map(df.schema.fieldIndex)
+    val qe = df.queryExecution
+    val rows = SQLExecution.withNewExecutionId(qe, Some("collect"))(qe.executedPlan.executeCollect())
+    java.util.Arrays.sort(rows, (a: InternalRow, b: InternalRow) => java.lang.Long.compare(a.getLong(id), b.getLong(id)))
     val data = rows.map { r =>
       PairData(
-        label = r.getAs[Double]("label"),
-        src1 = r.getAs[String]("src1"),
-        src2 = r.getAs[String]("src2"),
-        toks1 = r.getAs[scala.collection.Seq[scala.collection.Seq[String]]]("toks1").map(_.toSeq).toArray,
-        toks2 = r.getAs[scala.collection.Seq[scala.collection.Seq[String]]]("toks2").map(_.toSeq).toArray,
-        features = r.getAs[scala.collection.Seq[Double]]("features").toArray,
+        label = r.getDouble(label),
+        src1 = r.getUTF8String(src1).toString,
+        src2 = r.getUTF8String(src2).toString,
+        toks1 = tokenSets(r.getArray(toks1)),
+        toks2 = tokenSets(r.getArray(toks2)),
+        features = r.getArray(feats).toDoubleArray(),
       )
     }
     PairBatch(attrs.toVector, dim, data)
   }
+
+  /** An `array<array<string>>` value as one token sequence per attribute. */
+  private def tokenSets(a: ArrayData): Array[Seq[String]] =
+    Array.tabulate(a.numElements()) { i =>
+      val set = a.getArray(i)
+      ArraySeq.unsafeWrapArray(Array.tabulate(set.numElements())(set.getUTF8String(_).toString))
+    }
 }

@@ -1,7 +1,5 @@
 package repro.linalg
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Reverse-mode automatic differentiation over [[Mat]].
   *
   * Micrograd-style tape: every op returns a [[AD.V]] node holding its value,
@@ -29,6 +27,7 @@ object AD {
     private val isParameter = needsGrad && parents.isEmpty
     private var g: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
     private var gIsZero = false // g is zero-filled and not handed out since
+    private[AD] var mark = 0L // the stamp of the last backward that ordered this node
     // a parameter's buffer for a product it adds to g
     private[linalg] val scratch: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
 
@@ -285,17 +284,49 @@ object AD {
   }
 
   /** Topologically-ordered reverse sweep from scalar `root` over the nodes
-    * that need a gradient. */
+    * that need a gradient: their depth-first post-order from `root`,
+    * parents in order, run backwards. */
   def backward(root: V): Unit = {
     require(root.v.rows == 1 && root.v.cols == 1, "backward root must be scalar")
     if (root.needsGrad) {
-      val order = ArrayBuffer.empty[V]
-      val seen = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[V, java.lang.Boolean]())
-      def visit(n: V): Unit = if (n.needsGrad && seen.add(n)) { n.parents.foreach(visit); order += n }
-      visit(root)
-      order.foreach(_.zeroGrad())
-      root.grad.data(0) = 1.0
-      order.reverseIterator.foreach(_.backprop())
+      val order = orders.get
+      try {
+        order.sort(root, stamps.incrementAndGet())
+        var i = 0
+        while (i < order.size) { order.nodes(i).zeroGrad(); i += 1 }
+        root.grad.data(0) = 1.0
+        i = order.size - 1
+        while (i >= 0) { order.nodes(i).backprop(); i -= 1 }
+      } finally order.clear()
     }
+  }
+
+  /** A fresh stamp per [[backward]] call, which marks the nodes it has
+    * ordered; unique across threads. */
+  private val stamps = new java.util.concurrent.atomic.AtomicLong
+
+  /** Each thread's [[backward]] order, reused from call to call. */
+  private val orders = ThreadLocal.withInitial[Order](() => new Order)
+
+  private final class Order {
+    var nodes = new Array[V](64)
+    var size = 0
+    private var stamp = 0L
+
+    /** Fills `nodes` with the post-order of `root`'s nodes that need a
+      * gradient, marking each with `stamp`. */
+    def sort(root: V, stamp: Long): Unit = { this.stamp = stamp; visit(root) }
+
+    private val visit: V => Unit = n =>
+      if (n.needsGrad && n.mark != stamp) {
+        n.mark = stamp
+        n.parents.foreach(visit)
+        if (size == nodes.length) nodes = java.util.Arrays.copyOf(nodes, 2 * size)
+        nodes(size) = n
+        size += 1
+      }
+
+    /** Drops the references to the last tape. */
+    def clear(): Unit = { java.util.Arrays.fill(nodes.asInstanceOf[Array[AnyRef]], 0, size, null); size = 0 }
   }
 }

@@ -32,32 +32,40 @@ object HashEmbed extends Serializable {
     h
   }
 
+  /** Adds the embedding of `token`, entries `inv` or `-inv`, into `acc`. */
+  private def addEmbedding(token: String, inv: Double, acc: Array[Double]): Unit = {
+    val base = tokenHash(token)
+    var d = 0
+    while (d < acc.length) {
+      acc(d) += (if ((mix64(base ^ (d.toLong * 0x9E3779B97F4A7C15L)) & 1L) == 0L) inv else -inv)
+      d += 1
+    }
+  }
+
   /** Embedding of one token: entries in {-1,+1}/sqrt(D). */
   def embed(token: String, dim: Int = DefaultDim): Array[Double] = {
-    val base = tokenHash(token)
-    val inv = 1.0 / math.sqrt(dim.toDouble)
-    Array.tabulate(dim) { d =>
-      if ((mix64(base ^ (d.toLong * 0x9E3779B97F4A7C15L)) & 1L) == 0L) inv else -inv
-    }
+    val out = new Array[Double](dim)
+    addEmbedding(token, 1.0 / math.sqrt(dim.toDouble), out)
+    out
   }
 
   /** The fixed normalized non-zero vector for empty token sets (paper §4.3). */
   def missingVector(dim: Int = DefaultDim): Array[Double] = {
-    val inv = 1.0 / math.sqrt(dim.toDouble)
-    Array.fill(dim)(inv)
+    val out = new Array[Double](dim)
+    java.util.Arrays.fill(out, 1.0 / math.sqrt(dim.toDouble))
+    out
   }
 
   /** Summed embeddings of a token set (paper Eq. 3: sum, no RNN/attention).
-    * Empty input returns [[missingVector]]. */
+    * Empty input returns [[missingVector]]. Each token's entries are added
+    * straight into the sum, in token order, without building its
+    * [[embed]] array. */
   def embedSum(tokens: Seq[String], dim: Int = DefaultDim): Array[Double] =
     if (tokens.isEmpty) missingVector(dim)
     else {
+      val inv = 1.0 / math.sqrt(dim.toDouble)
       val acc = new Array[Double](dim)
-      tokens.foreach { t =>
-        val e = embed(t, dim)
-        var i = 0
-        while (i < dim) { acc(i) += e(i); i += 1 }
-      }
+      tokens.foreach(addEmbedding(_, inv, acc))
       acc
     }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Alloc
 import repro.er.{PairBatch, TestPairs}
 import repro.eval.Metrics
 
@@ -30,6 +31,25 @@ class AdaMELSpec extends AnyFunSuite {
   test("scoring an empty batch gives no scores") {
     val m = AdaMEL.fitted(cfg(Variant.Base, 1), train)
     assert(m.scores(test.subset(Array.empty[Int])).isEmpty)
+  }
+
+  test("scores and attention over 2·256 + 3 rows equal forwardPlain's, bit for bit") {
+    val source = TestPairs.wide(200, 13, dim, seed = 5) // Monitor's F = 26
+    val m = AdaMEL.fitted(cfg(Variant.Hyb, 3), source, Some(TestPairs.wide(100, 13, dim, seed = 7)),
+      Some(TestPairs.wide(30, 13, dim, seed = 8)))
+    val big = TestPairs.wide(2 * 256 + 3, 13, dim, seed = 6)
+    val (att, probs) = m.forwardPlain(big)
+    def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    assert(bits(m.scores(big)) == bits(probs.data))
+    assert(bits(m.attention(big)) == bits(att.colMean.data))
+  }
+
+  test("a second scores call on the same batch allocates under 1 MB") {
+    val wide = TestPairs.wide(2 * 256 + 3, 13, dim, seed = 6) // Monitor's F = 26
+    val m = AdaMEL.fitted(cfg(Variant.Base, 1), wide)
+    m.scores(wide)
+    val bytes = Alloc.bytes(m.scores(wide))
+    assert(bytes < (1 << 20), s"$bytes bytes")
   }
 
   test("base loss decreases during training (Eq. 8)") {

@@ -105,6 +105,46 @@ class FeaturePipelineSpec extends SparkSpec {
     assert(batch.labels.toSeq == (1 to 12).map(id => (id % 2).toDouble))
   }
 
+  test("collectBatch equals the Row-decoded collect, field by field, at 1 and 64 partitions") {
+    // The collect as first written: the pipeline's rows decoded as `Row`s.
+    def rowDecoded(df: DataFrame, dim: Int): PairBatch = {
+      val rows = FeaturePipeline.features(df, attrs, dim).collect().sortBy(_.getAs[Long]("pair_id"))
+      PairBatch(attrs.toVector, dim, rows.map { r =>
+        PairData(
+          label = r.getAs[Double]("label"),
+          src1 = r.getAs[String]("src1"),
+          src2 = r.getAs[String]("src2"),
+          toks1 = r.getAs[scala.collection.Seq[scala.collection.Seq[String]]]("toks1").map(_.toSeq).toArray,
+          toks2 = r.getAs[scala.collection.Seq[scala.collection.Seq[String]]]("toks2").map(_.toSeq).toArray,
+          features = r.getAs[scala.collection.Seq[Double]]("features").toArray,
+        )
+      })
+    }
+    val values = Seq("Hey Jude", "hey jude remix", "The Beatles", "Café Müller 2", "", "!!", "u2415 24in hey")
+    val rows = (1L to 40L).map { id =>
+      def side(k: Long): Map[String, String] = {
+        val title = values(((id * k) % values.size).toInt)
+        val artist = values(((id + k) % values.size).toInt)
+        if (id % 5 == 0) Map("title" -> title) else Map("title" -> title, "artist" -> artist) // artist missing
+      }
+      Row((id * 7919L) % 101L, (id % 3).toDouble - 1.0, s"s${id % 4}", s"t${id % 3}", side(3), side(11))
+    }
+    for (partitions <- Seq(1, 64)) {
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, partitions), pairSchema)
+      val got = FeaturePipeline.collectBatch(df, attrs, dim = 8)
+      val want = rowDecoded(df, dim = 8)
+      assert(got.attrs == want.attrs && got.dim == want.dim && got.n == want.n && got.n == 40)
+      assert(want.pairs.exists(_.toks2(1).isEmpty), "a pair with a missing attribute")
+      got.pairs.zip(want.pairs).zipWithIndex.foreach { case ((g, w), i) =>
+        val at = s"pair $i at $partitions partitions"
+        assert(java.lang.Double.compare(g.label, w.label) == 0, at)
+        assert(g.src1 == w.src1 && g.src2 == w.src2, at)
+        assert(g.toks1.toSeq == w.toks1.toSeq && g.toks2.toSeq == w.toks2.toSeq, at)
+        assert(java.util.Arrays.equals(g.features, w.features), at)
+      }
+    }
+  }
+
   test("featureMat stacks per-pair features row-wise") {
     val batch = FeaturePipeline.collectBatch(samplePairs, attrs, dim = 4)
     val m0 = batch.featureMat(0)

@@ -75,6 +75,15 @@ class BuffersSpec extends AnyFunSuite {
     }
   }
 
+  test("scoring leaves no buffer scope open, also when forward throws") {
+    val m = new AdaMEL(cfgA, Dim, train.featureNames)
+    m.scores(BuffersSpec.test); assert(!Buffers.inScope)
+    m.attention(BuffersSpec.test); assert(!Buffers.inScope)
+    val otherDim = TestPairs.wide(30, 6, Dim + 1, seed = 4)
+    intercept[IllegalArgumentException](m.scores(otherDim)); assert(!Buffers.inScope)
+    intercept[IllegalArgumentException](m.attention(otherDim)); assert(!Buffers.inScope)
+  }
+
   test("parameters and Adam's moments are created outside every scope") {
     val p = AD.leaf(randMat(2, 2))
     Buffers.scoped {

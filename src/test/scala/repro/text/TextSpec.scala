@@ -1,6 +1,8 @@
 package repro.text
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Alloc
+import repro.linalg.Rng
 
 class TokenizerSpec extends AnyFunSuite {
 
@@ -40,6 +42,7 @@ class TokenizerSpec extends AnyFunSuite {
 }
 
 class HashEmbedSpec extends AnyFunSuite {
+  import HashEmbedSpec._
 
   test("same token always embeds identically") {
     assert(HashEmbed.embed("beatles").sameElements(HashEmbed.embed("beatles")))
@@ -95,5 +98,69 @@ class HashEmbedSpec extends AnyFunSuite {
       math.abs(HashEmbed.embed(a).zip(HashEmbed.embed(b)).map { case (x, y) => x * y }.sum)
     }.toSeq
     assert(cosines.sum / cosines.size < 0.25, "mean |cos| too high for hash embeddings")
+  }
+
+  test("embed, embedSum, embedMean and missingVector keep the bits of the Array.tabulate formula") {
+    val rng = new Rng(29)
+    val chars = "abcxyz0189éüß"
+    def token(): String = Seq.fill(1 + rng.nextInt(10))(chars(rng.nextInt(chars.length))).mkString
+    for (dim <- Seq(1, 4, 32, 300)) {
+      val sets = Seq.empty[String] +: Seq.fill(40)(Seq.fill(1 + rng.nextInt(25))(token()).distinct)
+      assert(bits(HashEmbed.missingVector(dim)) == bits(Reference.missingVector(dim)), s"missingVector, D = $dim")
+      for (set <- sets) {
+        set.foreach(t => assert(bits(HashEmbed.embed(t, dim)) == bits(Reference.embed(t, dim)), s"embed($t), D = $dim"))
+        assert(bits(HashEmbed.embedSum(set, dim)) == bits(Reference.embedSum(set, dim)), s"embedSum($set), D = $dim")
+        assert(bits(HashEmbed.embedMean(set, dim)) == bits(Reference.embedMean(set, dim)), s"embedMean($set), D = $dim")
+      }
+    }
+  }
+
+  test("a warm embedSum of 20 tokens at D = 32 allocates under 1 KB") {
+    val tokens = Tokenizer.tokenSet((1 to 20).map(i => s"tok$i").mkString(" "))
+    assert(tokens.size == 20)
+    var sink = 0.0
+    for (_ <- 0 until 20000) sink += HashEmbed.embedSum(tokens, 32)(0)
+    val calls = 1000
+    val bytes = Alloc.bytes { for (_ <- 0 until calls) sink += HashEmbed.embedSum(tokens, 32)(0) }
+    assert(bytes / calls < 1024, s"${bytes / calls} bytes per call (sink $sink)")
+  }
+}
+
+object HashEmbedSpec {
+  def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** The embedding formula as first written, one `Array.tabulate` vector
+    * per token: the reference `HashEmbed`'s loops must match bit for bit. */
+  object Reference {
+    private def mix64(z0: Long): Long = {
+      var z = z0 + 0x9E3779B97F4A7C15L
+      z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+      z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+      z ^ (z >>> 31)
+    }
+
+    private def tokenHash(token: String): Long = token.foldLeft(1125899906842597L)((h, c) => 31 * h + c)
+
+    def embed(token: String, dim: Int): Array[Double] = {
+      val base = tokenHash(token)
+      val inv = 1.0 / math.sqrt(dim.toDouble)
+      Array.tabulate(dim) { d =>
+        if ((mix64(base ^ (d.toLong * 0x9E3779B97F4A7C15L)) & 1L) == 0L) inv else -inv
+      }
+    }
+
+    def missingVector(dim: Int): Array[Double] = Array.fill(dim)(1.0 / math.sqrt(dim.toDouble))
+
+    def embedSum(tokens: Seq[String], dim: Int): Array[Double] =
+      if (tokens.isEmpty) missingVector(dim)
+      else {
+        val acc = new Array[Double](dim)
+        tokens.foreach { t => val e = embed(t, dim); for (i <- 0 until dim) acc(i) += e(i) }
+        acc
+      }
+
+    def embedMean(tokens: Seq[String], dim: Int): Array[Double] =
+      if (tokens.isEmpty) missingVector(dim)
+      else { val s = embedSum(tokens, dim); val inv = 1.0 / tokens.size; s.map(_ * inv) }
   }
 }
