@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.er.PairData
+import repro.er.{PairBatch, PairData}
 import repro.text.HashEmbed
 
 /** TLER (Thirumuruganathan et al. 2018): non-deep transfer-ER baseline.
@@ -14,18 +14,22 @@ import repro.text.HashEmbed
   */
 final class TLER(seed: Long)
     extends MLPMatcher("TLER", hidden = 0, epochs = 200, lr = 5e-2, seed) {
-  override def featurize(p: PairData, attrs: Vector[String]): Array[Double] =
-    attrs.indices.flatMap { j =>
+  override def featureDim(batch: PairBatch): Int = 6 * batch.attrs.length
+
+  override def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit = {
+    var j = 0
+    while (j < attrs.length) {
       val a = p.toks1(j); val b = p.toks2(j)
-      Seq(
-        Sim.jaccard(a, b),
-        Sim.containment(a, b),
-        Sim.containment(b, a),
-        if (a.nonEmpty && a == b) 1.0 else 0.0,
-        Sim.bothPresent(a, b),
-        Sim.lengthRatio(a, b),
-      )
-    }.toArray
+      val o = at + 6 * j
+      out(o) = Sim.jaccard(a, b)
+      out(o + 1) = Sim.containment(a, b)
+      out(o + 2) = Sim.containment(b, a)
+      out(o + 3) = if (a.nonEmpty && a == b) 1.0 else 0.0
+      out(o + 4) = Sim.bothPresent(a, b)
+      out(o + 5) = Sim.lengthRatio(a, b)
+      j += 1
+    }
+  }
 }
 
 /** DeepMatcher-hybrid (Mudgal et al. 2018), reduced: attribute
@@ -40,21 +44,24 @@ final class TLER(seed: Long)
   */
 final class DeepMatcherLite(dim: Int, seed: Long, epochs: Int = 120)
     extends MLPMatcher("DeepMatcher", hidden = 32, epochs, lr = 1e-2, seed) {
-  override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = {
-    val out = new Array[Double](attrs.length * 2 * dim)
+  private val mean = new MeanEmbedding(dim)
+
+  override def featureDim(batch: PairBatch): Int = batch.attrs.length * 2 * dim
+
+  override def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit = {
     var j = 0
     while (j < attrs.length) {
-      val u = HashEmbed.embedMean(p.toks1(j), dim)
-      val v = HashEmbed.embedMean(p.toks2(j), dim)
+      val u = mean(p.toks1(j))
+      val v = mean(p.toks2(j))
+      val o = at + j * 2 * dim
       var d = 0
       while (d < dim) {
-        out(j * 2 * dim + d) = math.abs(u(d) - v(d))
-        out(j * 2 * dim + dim + d) = u(d) * v(d)
+        out(o + d) = math.abs(u(d) - v(d))
+        out(o + dim + d) = u(d) * v(d)
         d += 1
       }
       j += 1
     }
-    out
   }
 }
 
@@ -71,18 +78,21 @@ final class DeepMatcherLite(dim: Int, seed: Long, epochs: Int = 120)
   */
 final class EntityMatcherLite(seed: Long)
     extends MLPMatcher("EntityMatcher", hidden = 32, epochs = 120, lr = 1e-2, seed) {
-  override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = {
+  override def featureDim(batch: PairBatch): Int = 4 * batch.attrs.length
+
+  override def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit = {
     val all1 = p.toks1.iterator.flatten.toSet
     val all2 = p.toks2.iterator.flatten.toSet
-    attrs.indices.flatMap { j =>
+    var j = 0
+    while (j < attrs.length) {
       val a = p.toks1(j); val b = p.toks2(j)
-      Seq(
-        if (a.isEmpty) 0.0 else a.count(all2).toDouble / a.size, // align r -> r'
-        if (b.isEmpty) 0.0 else b.count(all1).toDouble / b.size, // align r' -> r
-        Sim.jaccard(a, b),
-        Sim.bothPresent(a, b),
-      )
-    }.toArray
+      val o = at + 4 * j
+      out(o) = if (a.isEmpty) 0.0 else a.count(all2).toDouble / a.size // align r -> r'
+      out(o + 1) = if (b.isEmpty) 0.0 else b.count(all1).toDouble / b.size // align r' -> r
+      out(o + 2) = Sim.jaccard(a, b)
+      out(o + 3) = Sim.bothPresent(a, b)
+      j += 1
+    }
   }
 }
 
@@ -96,25 +106,27 @@ final class EntityMatcherLite(seed: Long)
   */
 final class DittoLite(dim: Int, seed: Long)
     extends MLPMatcher("Ditto", hidden = 32, epochs = 120, lr = 1e-2, seed) {
+  private val mean = new MeanEmbedding(dim)
+
   private def serialize(toks: Array[Seq[String]], attrs: Vector[String]): Seq[String] =
     attrs.indices.flatMap(j => if (toks(j).isEmpty) Seq.empty else s"col${attrs(j)}" +: toks(j))
 
-  override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = {
-    val u = HashEmbed.embedMean(serialize(p.toks1, attrs), dim)
-    val v = HashEmbed.embedMean(serialize(p.toks2, attrs), dim)
-    val out = new Array[Double](4 * dim + attrs.length)
+  override def featureDim(batch: PairBatch): Int = 4 * dim + batch.attrs.length
+
+  override def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit = {
+    val u = mean(serialize(p.toks1, attrs))
+    val v = mean(serialize(p.toks2, attrs))
     var d = 0
     while (d < dim) {
-      out(d) = u(d); out(dim + d) = v(d)
-      out(2 * dim + d) = math.abs(u(d) - v(d)); out(3 * dim + d) = u(d) * v(d)
+      out(at + d) = u(d); out(at + dim + d) = v(d)
+      out(at + 2 * dim + d) = math.abs(u(d) - v(d)); out(at + 3 * dim + d) = u(d) * v(d)
       d += 1
     }
     var j = 0
     while (j < attrs.length) { // domain-knowledge spans: per-attribute overlap
-      out(4 * dim + j) = Sim.jaccard(p.toks1(j), p.toks2(j))
+      out(at + 4 * dim + j) = Sim.jaccard(p.toks1(j), p.toks2(j))
       j += 1
     }
-    out
   }
 }
 
@@ -130,5 +142,18 @@ final class DittoLite(dim: Int, seed: Long)
   */
 final class CorDelLite(seed: Long)
     extends MLPMatcher("CorDel-Attention", hidden = 32, epochs = 120, lr = 1e-2, seed) {
-  override def featurize(p: PairData, attrs: Vector[String]): Array[Double] = p.features
+  override def featureDim(batch: PairBatch): Int = batch.numFeatures * batch.dim
+
+  override def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit =
+    System.arraycopy(p.features, 0, out, at, p.features.length)
+}
+
+/** [[HashEmbed.embedMean]] at one dimension, except that every empty token
+  * set gets the same missing vector instead of a fresh copy. Callers only
+  * read the result. */
+private final class MeanEmbedding(dim: Int) {
+  private val missing = HashEmbed.missingVector(dim)
+
+  def apply(tokens: Seq[String]): Array[Double] =
+    if (tokens.isEmpty) missing else HashEmbed.embedMean(tokens, dim)
 }

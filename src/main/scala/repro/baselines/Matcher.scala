@@ -27,13 +27,23 @@ trait Matcher {
 abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double, seed: Long)
     extends Matcher {
 
-  /** Per-pair feature vector; must have fixed length for a given schema. */
-  def featurize(p: PairData, attrs: Vector[String]): Array[Double]
+  /** Length of the feature vector of each pair of `batch`. */
+  def featureDim(batch: PairBatch): Int
+
+  /** Writes the feature vector of `p`, a pair of a batch with attributes
+    * `attrs`, into `out(at until at + featureDim(batch))`. */
+  def featurize(p: PairData, attrs: Vector[String], out: Array[Double], at: Int): Unit
 
   private var head: Option[Classifier] = None
 
-  private def featureMat(batch: PairBatch): Mat =
-    Mat.fromRows(batch.pairs.toIndexedSeq.map(p => featurize(p, batch.attrs)))
+  /** One row per pair, each featurized straight into the matrix. */
+  private def featureMat(batch: PairBatch): Mat = {
+    val c = featureDim(batch)
+    val out = new Array[Double](batch.n * c)
+    var i = 0
+    while (i < batch.n) { featurize(batch.pairs(i), batch.attrs, out, i * c); i += 1 }
+    new Mat(batch.n, c, out)
+  }
 
   override def fit(source: PairBatch): Unit = {
     require(source.n > 0, s"$name: fit on an empty batch")
@@ -52,9 +62,7 @@ abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double
 
   override def scores(batch: PairBatch): Array[Double] = {
     require(head.nonEmpty, s"$name: fit before scores")
-    val theta = head.get
-    val x = if (batch.n == 0) Mat.zeros(0, theta.inDim) else featureMat(batch)
-    theta(AD.input(x)).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
+    head.get(AD.input(featureMat(batch))).v.data.map(s => 1.0 / (1.0 + math.exp(-s)))
   }
 }
 

@@ -8,7 +8,7 @@ import repro.linalg.{AD, Adam, Buffers, Mat, Rng}
   * the gated features (Eq. 7); every baseline applies it to its own
   * featurization. Weights are Glorot-initialised from `rng`, W1 before W2.
   */
-final class Classifier(val inDim: Int, hidden: Int, rng: Rng) {
+final class Classifier(inDim: Int, hidden: Int, rng: Rng) {
   private val layer1 = if (hidden == 0) None
     else Some((AD.leaf(Mat.glorot(inDim, hidden, rng)), AD.leaf(Mat.zeros(1, hidden))))
   private val w2 = AD.leaf(Mat.glorot(if (hidden == 0) inDim else hidden, 1, rng))

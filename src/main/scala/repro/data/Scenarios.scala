@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, functions => F}
-import repro.er.Pairing
+import repro.er.{Pairing, SmallQueries}
 
 /** Sizes, scenario kind and seed of the splits [[Scenarios]] builds. */
 final case class ScenarioConfig(
@@ -33,7 +33,8 @@ final case class MELSplits(train: DataFrame, support: DataFrame,
   * The builders run Spark jobs when called: each record pool's positive and
   * negative pair pools, and every sample that more than one split reads, are
   * materialized once (`localCheckpoint`) so the four splits share them
-  * instead of each re-deriving the blocking joins and windows. The rest of
+  * instead of each re-deriving the blocking joins and windows. Those jobs
+  * run without code generation ([[repro.er.SmallQueries]]). The rest of
   * each split (its remaining samples and the `pair_id` numbering) runs when
   * the split is collected.
   */
@@ -48,7 +49,8 @@ object Scenarios {
     val pos = Pairing.positives(records)
     val hard = Pairing.hardNegatives(records, cfg.blockAttr, cfg.maxBlockSize)
     val rand = Pairing.randomNegatives(records, cfg.seed * 31 + 5)
-    Pools(pos.localCheckpoint(), hard.unionByName(rand).dropDuplicates("id1", "id2").localCheckpoint())
+    val neg = hard.unionByName(rand).dropDuplicates("id1", "id2")
+    SmallQueries(records.sparkSession)(Pools(pos.localCheckpoint(), neg.localCheckpoint()))
   }
 
   /** Builds the splits from one record pool; runs the Spark jobs that
@@ -87,8 +89,9 @@ object Scenarios {
     val tgtPos = evalPools.pos.where(inTarget)
     val tgtNeg = evalPools.neg.where(inTarget)
     // test, the support anti-joins and target all read the test samples
-    val testPos = Pairing.sample(tgtPos, cfg.nTestPos, cfg.seed + 3).localCheckpoint()
-    val testNeg = Pairing.sample(tgtNeg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
+    val (testPos, testNeg) = SmallQueries(tgtPos.sparkSession)(
+      (Pairing.sample(tgtPos, cfg.nTestPos, cfg.seed + 3).localCheckpoint(),
+        Pairing.sample(tgtNeg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()))
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
     val supPos = Pairing.sample(without(tgtPos, testPos), cfg.nSupport / 2, cfg.seed + 5)
@@ -115,14 +118,17 @@ object Scenarios {
 
     // test, the anti-joins and target read the test samples; support and
     // the train anti-joins read the support samples
-    val testPos = Pairing.sample(pos, cfg.nTestPos, cfg.seed + 3).localCheckpoint()
-    val testNeg = Pairing.sample(neg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()
+    val spark = records.sparkSession
+    val (testPos, testNeg) = SmallQueries(spark)(
+      (Pairing.sample(pos, cfg.nTestPos, cfg.seed + 3).localCheckpoint(),
+        Pairing.sample(neg, cfg.nTestNeg, cfg.seed + 4).localCheckpoint()))
     val test = Pairing.finalizePairs(Seq(testPos, testNeg))
 
     val remPos = without(pos, testPos)
     val remNeg = without(neg, testNeg)
-    val supPos = Pairing.sample(remPos, cfg.nSupport / 2, cfg.seed + 5).localCheckpoint()
-    val supNeg = Pairing.sample(remNeg, cfg.nSupport / 2, cfg.seed + 6).localCheckpoint()
+    val (supPos, supNeg) = SmallQueries(spark)(
+      (Pairing.sample(remPos, cfg.nSupport / 2, cfg.seed + 5).localCheckpoint(),
+        Pairing.sample(remNeg, cfg.nSupport / 2, cfg.seed + 6).localCheckpoint()))
     val support = Pairing.finalizePairs(Seq(supPos, supNeg))
 
     val trainPos = Pairing.sample(without(remPos, supPos), cfg.nTrainPos, cfg.seed + 1)

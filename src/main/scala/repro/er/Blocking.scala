@@ -38,14 +38,14 @@ object Blocking {
     * Runs a Spark job when called: the capped key table (`key, id,
     * entity_id`, block sizes from one window over the key) is materialized
     * once (`localCheckpoint`), so both sides of the self-join read it
-    * instead of each re-deriving the keys and block sizes. The join
-    * broadcasts one side. */
+    * instead of each re-deriving the keys and block sizes, without code
+    * generation ([[SmallQueries]]). The join broadcasts one side. */
   def candidates(records: DataFrame, attr: String, maxBlockSize: Int = 50): DataFrame = {
-    val kept = blockKeys(records, attr)
+    val capped = blockKeys(records, attr)
       .withColumn("block_size", F.count("*").over(Window.partitionBy("key")))
       .where(F.col("block_size") <= maxBlockSize)
       .select("key", "id", "entity_id")
-      .localCheckpoint()
+    val kept = SmallQueries(records.sparkSession)(capped.localCheckpoint())
     val l = kept.select(F.col("key"), F.col("id").as("id1"), F.col("entity_id").as("e1"))
     val r = kept.select(F.col("key"), F.col("id").as("id2"), F.col("entity_id").as("e2"))
     l.join(F.broadcast(r), "key")

@@ -79,13 +79,17 @@ object FeaturePipeline {
     *
     * The rows are read as the executed plan's internal (binary) rows, as
     * `Dataset.collect` runs them, but without decoding each into a `Row`:
-    * that would box every feature double, F x D of them per pair. */
+    * that would box every feature double, F x D of them per pair. The plan
+    * is prepared and run without code generation ([[SmallQueries]]). */
   def collectBatch(pairs: DataFrame, attrs: Seq[String], dim: Int = HashEmbed.DefaultDim): PairBatch = {
     val df = features(pairs, attrs, dim)
     val Seq(id, label, src1, src2, toks1, toks2, feats) =
       Seq("pair_id", "label", "src1", "src2", "toks1", "toks2", "features").map(df.schema.fieldIndex)
-    val qe = df.queryExecution
-    val rows = SQLExecution.withNewExecutionId(qe, Some("collect"))(qe.executedPlan.executeCollect())
+    val rows = SmallQueries(df.sparkSession) {
+      val qe = df.queryExecution
+      val plan = qe.executedPlan // planned here, without code generation
+      SQLExecution.withNewExecutionId(qe, Some("collect"))(plan.executeCollect())
+    }
     java.util.Arrays.sort(rows, (a: InternalRow, b: InternalRow) => java.lang.Long.compare(a.getLong(id), b.getLong(id)))
     val data = rows.map { r =>
       PairData(

@@ -76,11 +76,4 @@ object Harness {
     }
     Result(makeRunner(seeds.head).name, runs)
   }
-
-  /** Wall-clock of a single fit+score run, in seconds (Fig. 9 table). */
-  def timedRun(data: MELData, runner: MethodRunner): (Array[Double], Double) = {
-    val t0 = System.nanoTime()
-    val s = runner.run(data)
-    (s, (System.nanoTime() - t0) / 1e9)
-  }
 }

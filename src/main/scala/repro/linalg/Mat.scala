@@ -294,15 +294,6 @@ object Mat {
     new Mat(rows, cols, vals.toArray)
   }
 
-  def fromRows(rows: Seq[Array[Double]]): Mat = {
-    require(rows.nonEmpty, "fromRows: empty")
-    val c = rows.head.length
-    require(rows.forall(_.length == c), "fromRows: ragged rows")
-    val out = new Array[Double](rows.length * c)
-    rows.zipWithIndex.foreach { case (r, i) => System.arraycopy(r, 0, out, i * c, c) }
-    new Mat(rows.length, c, out)
-  }
-
   /** Glorot-style uniform init, deterministic in the supplied RNG. */
   def glorot(rows: Int, cols: Int, rng: Rng): Mat = {
     val lim = math.sqrt(6.0 / (rows + cols))

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.er.TestPairs
+import repro.er.{PairBatch, PairData, TestPairs}
 import repro.eval.Metrics
 
 class BaselinesSpec extends AnyFunSuite {
@@ -17,6 +17,13 @@ class BaselinesSpec extends AnyFunSuite {
     new DittoLite(dim, seed = 5),
     new CorDelLite(seed = 5),
   )
+
+  /** One pair's feature vector, as the matcher writes it into its feature matrix. */
+  private def features(m: MLPMatcher, batch: PairBatch, p: PairData): Array[Double] = {
+    val out = new Array[Double](m.featureDim(batch))
+    m.featurize(p, batch.attrs, out, 0)
+    out
+  }
 
   test("every baseline solves the separable toy task") {
     allMatchers.foreach { m =>
@@ -57,29 +64,29 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("TLER feature space is 6 similarities per attribute") {
     val t = new TLER(1)
-    assert(t.featurize(train.pairs(0), train.attrs).length == 6 * train.attrs.size)
+    assert(features(t, train, train.pairs(0)).length == 6 * train.attrs.size)
   }
 
   test("TLER similarity features are bounded in [0,1]") {
     val t = new TLER(1)
     train.pairs.take(20).foreach { p =>
-      assert(t.featurize(p, train.attrs).forall(x => x >= 0.0 && x <= 1.0))
+      assert(features(t, train, p).forall(x => x >= 0.0 && x <= 1.0))
     }
   }
 
   test("DeepMatcherLite representation is [|u-v|, u⊙v] per attribute") {
     val d = new DeepMatcherLite(dim, 1)
-    assert(d.featurize(train.pairs(0), train.attrs).length == train.attrs.size * 2 * dim)
+    assert(features(d, train, train.pairs(0)).length == train.attrs.size * 2 * dim)
   }
 
   test("DittoLite representation is [u, v, |u-v|, u⊙v] plus domain-knowledge spans") {
     val d = new DittoLite(dim, 1)
-    assert(d.featurize(train.pairs(0), train.attrs).length == 4 * dim + train.attrs.size)
+    assert(features(d, train, train.pairs(0)).length == 4 * dim + train.attrs.size)
   }
 
   test("CorDelLite consumes the contrastive pipeline features directly") {
     val c = new CorDelLite(1)
-    val f = c.featurize(train.pairs(0), train.attrs)
+    val f = features(c, train, train.pairs(0))
     assert(f.sameElements(train.pairs(0).features))
   }
 
@@ -88,7 +95,7 @@ class BaselinesSpec extends AnyFunSuite {
     // Same value, but displaced into the other attribute on side 2.
     val displaced = TestPairs.fromTokens(Vector("a0", "a1"), dim, Seq(
       (1.0, Array(Seq("alpha", "beta"), Seq.empty), Array(Seq.empty, Seq("alpha", "beta")))))
-    val f = e.featurize(displaced.pairs(0), displaced.attrs)
+    val f = features(e, displaced, displaced.pairs(0))
     // Feature 0 of attr a0 is coverage of side-1 tokens anywhere in side 2 -> 1.0
     assert(f(0) == 1.0)
     // Same-attribute Jaccard is 0 (value moved away).
@@ -101,12 +108,25 @@ class BaselinesSpec extends AnyFunSuite {
       (1.0, Array(Seq("alpha", "beta"), Seq.empty), Array(Seq.empty, Seq("alpha", "beta")))))
     val aligned = TestPairs.fromTokens(Vector("a0", "a1"), dim, Seq(
       (1.0, Array(Seq("alpha", "beta"), Seq.empty), Array(Seq("alpha", "beta"), Seq.empty))))
-    val fD = dm.featurize(displaced.pairs(0), displaced.attrs)
-    val fA = dm.featurize(aligned.pairs(0), aligned.attrs)
+    val fD = features(dm, displaced, displaced.pairs(0))
+    val fA = features(dm, aligned, aligned.pairs(0))
     // |u - v| portion of attr a0 is larger when the value is displaced.
     val diffD = fD.slice(0, dim).sum
     val diffA = fA.slice(0, dim).sum
     assert(diffD > diffA + 0.5)
+  }
+
+  test("each featurizer writes exactly its pair's slot of the feature matrix") {
+    allMatchers.collect { case m: MLPMatcher => m }.foreach { m =>
+      val c = m.featureDim(train)
+      train.pairs.take(5).foreach { p =>
+        val out = Array.fill(3 * c)(Double.NaN)
+        m.featurize(p, train.attrs, out, c)
+        assert(out.take(c).forall(_.isNaN) && out.drop(2 * c).forall(_.isNaN), s"${m.name} wrote outside its slot")
+        assert(java.util.Arrays.equals(out.slice(c, 2 * c), features(m, train, p)), s"${m.name} depends on the offset")
+        assert(!out.slice(c, 2 * c).exists(_.isNaN), s"${m.name} left a feature unwritten")
+      }
+    }
   }
 
   test("baselines are deterministic in seed") {

@@ -19,6 +19,11 @@ import repro.er.{Blocking, FeaturePipeline, PairBatch}
   * same order with the same feature bits. Each digest is also computed at 1
   * and at 64 shuffle partitions, which must agree: the batches may not
   * depend on Spark's layout.
+  *
+  * The digests were pinned while the `er` actions ran with generated code;
+  * they now run interpreted (`SmallQueries`), so the same digests show that
+  * interpreted and generated evaluation give the same batches on every path,
+  * `buildSingleDomain`'s included, at both partition counts.
   */
 class GoldenBatchesSpec extends SparkSpec {
   import GoldenBatchesSpec._

@@ -107,7 +107,11 @@ class FeaturePipelineSpec extends SparkSpec {
 
   test("collectBatch equals the Row-decoded collect, field by field, at 1 and 64 partitions") {
     // The collect as first written: the pipeline's rows decoded as `Row`s.
+    // It runs outside every `SmallQueries` scope, so with generated code,
+    // while `collectBatch` runs interpreted: this also checks that the two
+    // evaluations agree field by field.
     def rowDecoded(df: DataFrame, dim: Int): PairBatch = {
+      assert(SmallQueriesSpec.Keys.forall(k => !spark.conf.getAll.contains(k)), "code generation is on")
       val rows = FeaturePipeline.features(df, attrs, dim).collect().sortBy(_.getAs[Long]("pair_id"))
       PairBatch(attrs.toVector, dim, rows.map { r =>
         PairData(

@@ -46,11 +46,6 @@ class HarnessSpec extends SparkSpec {
     assert(res.runs.head > posRate, s"PRAUC ${res.runs.head} vs positive rate $posRate")
   }
 
-  test("timedRun reports positive duration and same-shape scores") {
-    val (scores, secs) = Harness.timedRun(data, MethodRunner.all(dim, 1L, fastCfg).head)
-    assert(scores.length == data.test.n && secs > 0)
-  }
-
   test("Result formats mean ± std") {
     val r = Harness.Result("x", Seq(0.5, 0.7))
     assert(r.fmt == "0.6000 ± 0.1000" && math.abs(r.mean - 0.6) < 1e-12)

@@ -73,7 +73,7 @@ class AdamRngSpec extends AnyFunSuite {
   test("Adam trains logistic regression to separate a linearly separable set") {
     val rng = new Rng(21)
     val n = 200
-    val xs = Mat.fromRows((0 until n).map { _ =>
+    val xs = Mats.fromRows((0 until n).map { _ =>
       Array(rng.uniform(-1, 1), rng.uniform(-1, 1))
     })
     val y = Mat.colVec(Array.tabulate(n)(i => if (xs(i, 0) + xs(i, 1) > 0) 1.0 else 0.0))

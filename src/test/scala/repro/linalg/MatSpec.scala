@@ -219,9 +219,9 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("fromRows builds the expected matrix and rejects ragged input") {
-    val m = Mat.fromRows(Seq(Array(1.0, 2), Array(3.0, 4)))
+    val m = Mats.fromRows(Seq(Array(1.0, 2), Array(3.0, 4)))
     assert(m.approxEquals(Mat(2, 2)(1, 2, 3, 4)))
-    intercept[IllegalArgumentException](Mat.fromRows(Seq(Array(1.0), Array(1.0, 2))))
+    intercept[IllegalArgumentException](Mats.fromRows(Seq(Array(1.0), Array(1.0, 2))))
   }
 
   test("addInPlace mutates receiver only") {
