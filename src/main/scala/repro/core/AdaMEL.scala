@@ -83,7 +83,7 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
   private def selFeats(batch: PairBatch): Array[Mat] = fIdx.map(batch.feats)
 
   /** Differentiable forward pass: (attention G, logits s). */
-  private def forward(feats: Array[Mat]): (AD.V, AD.V) = {
+  private[core] def forward(feats: Array[Mat]): (AD.V, AD.V) = {
     val xs = Array.tabulate(numFeatures) { j =>
       AD.relu(AD.addRowVec(AD.matmul(AD.input(feats(j)), vs(j)), bs(j)))
     }

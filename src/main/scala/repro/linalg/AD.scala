@@ -13,8 +13,9 @@ package repro.linalg
   * A parameter's gradient buffer is allocated with it, outside every
   * [[Buffers]] scope, and zero-filled by each `backward`; any other node's
   * is allocated in `backward`, never in a forward pass, and inside a scope
-  * is recycled with the node's value when the scope closes. Every gradient
-  * is bit-identical to accumulating each op's contribution, computed on its
+  * is recycled with the node's value when the scope closes, as are the
+  * transposes and products a `matmul`'s backward forms. Every gradient is
+  * bit-identical to accumulating each op's contribution, computed on its
   * own, into a zeroed buffer.
   *
   * The op set is what the AdaMEL losses and the baseline MLPs need, plus
@@ -24,39 +25,27 @@ package repro.linalg
 object AD {
 
   final class V private[AD] (val v: Mat, val parents: Seq[V], bw: V => Unit, val needsGrad: Boolean) {
-    private val isParameter = needsGrad && parents.isEmpty
-    private var g: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
-    private var gIsZero = false // g is zero-filled and not handed out since
+    private var g: Mat = if (needsGrad && parents.isEmpty) Mat.zeros(v.rows, v.cols) else null
     private[AD] var mark = 0L // the stamp of the last backward that ordered this node
-    // a parameter's buffer for a product it adds to g
-    private[linalg] val scratch: Mat = if (isParameter) Mat.zeros(v.rows, v.cols) else null
 
     /** The gradient the last [[backward]] through this node accumulated
       * (zeros before any). A constant has none. */
     def grad: Mat = {
       require(needsGrad, "a constant has no gradient")
       if (g == null) g = Mat.zeros(v.rows, v.cols)
-      gIsZero = false
       g
     }
 
     def scalar: Double = { require(v.rows == 1 && v.cols == 1, "not a scalar node"); v.data(0) }
 
-    /** Adds a product to the gradient. `product(into)` returns it, written
-      * into `into` if that is not null and it can. A zeroed gradient takes
-      * the product directly; otherwise the product is formed on its own (in
-      * a parameter's reused scratch buffer) and then added, as the sum order
-      * of accumulating separate contributions requires. */
-    private[AD] def addProduct(product: Mat => Mat): Unit =
-      if (g == null) g = product(null)
-      else {
-        val into = if (gIsZero) g else scratch
-        val p = product(into)
-        if (p ne g) g.addInPlace(p)
-        gIsZero = false
-      }
+    /** Adds `m`, a product or column sum the caller formed for this node
+      * alone, to the gradient; a node with no gradient buffer yet adopts
+      * `m` as it. Every entry of a `%*%` or `colSum` is a sum that starts
+      * from +0.0, so it is never −0.0, and adopting it gives the bits that
+      * adding it to zeros would. */
+    private[AD] def accumulate(m: Mat): Unit = if (g == null) g = m else g.addInPlace(m)
 
-    private[linalg] def zeroGrad(): Unit = if (g != null) { java.util.Arrays.fill(g.data, 0.0); gIsZero = true }
+    private[linalg] def zeroGrad(): Unit = if (g != null) java.util.Arrays.fill(g.data, 0.0)
 
     private[AD] def backprop(): Unit = bw(this)
   }
@@ -75,8 +64,8 @@ object AD {
   def input(m: Mat): V = new V(m, Nil, _ => (), needsGrad = false)
 
   def matmul(a: V, b: V): V = op(a.v %*% b.v, Seq(a, b)) { out =>
-    if (a.needsGrad) a.addProduct(out.grad.matmulNT(b.v, _))
-    if (b.needsGrad) b.addProduct(a.v.matmulTN(out.grad, _))
+    if (a.needsGrad) a.accumulate(out.grad %*% b.v.t)
+    if (b.needsGrad) b.accumulate(a.v.t %*% out.grad)
   }
 
   def add(a: V, b: V): V = op(a.v + b.v, Seq(a, b)) { out =>
@@ -104,7 +93,7 @@ object AD {
   /** Broadcast-add a 1 x C bias row to every row of a. */
   def addRowVec(a: V, bias: V): V = op(a.v.addRowVec(bias.v), Seq(a, bias)) { out =>
     if (a.needsGrad) a.grad.addInPlace(out.grad)
-    if (bias.needsGrad) bias.addProduct(_ => out.grad.colSum)
+    if (bias.needsGrad) bias.accumulate(out.grad.colSum)
   }
 
   /** Broadcast-multiply every row of a (N x C) by column vector c (N x 1). */

@@ -9,14 +9,14 @@ package repro.linalg
   * arrays from that thread's free list of the requested length; closing the
   * scope returns every array handed out inside it to those lists. Scopes
   * nest: closing an inner scope returns only the arrays taken since it
-  * opened. Outside every scope (Spark tasks, scoring, tests) the ops
+  * opened. Outside every scope (Spark tasks, tests) the ops
   * allocate fresh arrays, as if no scope existed.
   *
   * The lifetime rule, which the callers keep:
   *  - a `Mat` created inside a scope is not read after the scope closes;
   *  - what lives across steps is allocated outside every scope: parameters
   *    (`AD.leaf` requires no open scope and allocates a parameter's gradient
-  *    and scratch buffers there) and Adam's moments.
+  *    buffer there) and Adam's moments.
   *
   * A free list keeps its arrays after the scope closes, so a thread holds at
   * most the largest set of arrays one of its scopes had out at once.

@@ -17,8 +17,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
   def size: Int = rows * cols
 
-  def copy(): Mat = new Mat(rows, cols, data.clone())
-
   def map(f: Double => Double): Mat = {
     val out = Buffers.array(size)
     var i = 0
@@ -36,7 +34,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   }
 
   def +(that: Mat): Mat = zip(that)(_ + _)
-  def -(that: Mat): Mat = zip(that)(_ - _)
   def *(that: Mat): Mat = zip(that)(_ * _) // elementwise (Hadamard)
   def *(k: Double): Mat = map(_ * k)
 
@@ -49,9 +46,8 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   /** Matrix product `this (r x k) %*% that (k x c)`.
     *
     * Entry (i, j) is summed from 0.0 over p in ascending order, skipping the
-    * p where `this(i, p)` is zero. [[matmulTN]] and [[matmulNT]] sum every
-    * entry in the same order and skip the same products, so they are
-    * bit-identical to `%*%` on a transpose.
+    * p where `this(i, p)` is zero. It is the only product kernel: a
+    * `matmul`'s backward applies it to transposes ([[t]]).
     */
   def %*%(that: Mat): Mat = {
     require(cols == that.rows, s"matmul shape mismatch: ${rows}x$cols %*% ${that.rows}x${that.cols}")
@@ -59,41 +55,8 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     val nz = Buffers.nonZeros(cols)
     var i = 0
     while (i < rows) {
-      nz.gather(data, i * cols, 1, cols)
+      nz.gather(data, i * cols, cols)
       nz.addRowCombination(that, out.data, i * that.cols)
-      i += 1
-    }
-    out
-  }
-
-  /** `this.t %*% that` for `this` (k x r) and `that` (k x c), without
-    * building the transpose; bit-identical to `this.t %*% that`. Overwrites
-    * `into` (r x c) when given, else returns a new matrix. */
-  def matmulTN(that: Mat, into: Mat = null): Mat = {
-    require(rows == that.rows, s"matmulTN shape mismatch: (${rows}x$cols)^T %*% ${that.rows}x${that.cols}")
-    val out = Mat.zeroed(into, cols, that.cols)
-    val nz = Buffers.nonZeros(rows)
-    var i = 0
-    while (i < cols) {
-      nz.gather(data, i, cols, rows) // column i of this
-      nz.addRowCombination(that, out.data, i * that.cols)
-      i += 1
-    }
-    out
-  }
-
-  /** `this %*% that.t` for `this` (r x k) and `that` (c x k), without
-    * building the transpose; bit-identical to `this %*% that.t`. Overwrites
-    * `into` (r x c) when given, else returns a new matrix. Every entry is
-    * written, not accumulated, so neither needs zeroing. */
-  def matmulNT(that: Mat, into: Mat = null): Mat = {
-    require(cols == that.cols, s"matmulNT shape mismatch: ${rows}x$cols %*% (${that.rows}x${that.cols})^T")
-    val out = if (into == null) Mat.uninit(rows, that.rows) else Mat.checkShape(into, rows, that.rows)
-    val nz = Buffers.nonZeros(cols)
-    var i = 0
-    while (i < rows) {
-      nz.gather(data, i * cols, 1, cols)
-      nz.dotRows(that, out.data, i * that.rows)
       i += 1
     }
     out
@@ -164,10 +127,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     new Mat(idx.length, cols, out)
   }
 
-  def approxEquals(that: Mat, tol: Double = 1e-9): Boolean =
-    rows == that.rows && cols == that.cols &&
-      data.indices.forall(i => math.abs(data(i) - that.data(i)) <= tol)
-
   override def toString: String = {
     val sb = new StringBuilder(s"Mat(${rows}x$cols)\n")
     val rr = math.min(rows, 6)
@@ -200,21 +159,21 @@ object Mat {
     new Mat(rows, cols, out)
   }
 
-  /** The non-zero entries of one row or column of a matrix, in order: the
-    * factors of one output row of a product. The products of an output
-    * entry are added one at a time, in that order, as `%*%` defines; the
-    * loops below only interleave the work on different entries. */
+  /** The non-zero entries of one row of a matrix, in order: the factors of
+    * one output row of a product. The products of an output entry are added
+    * one at a time, in that order, as `%*%` defines; the loop below only
+    * interleaves the work on different entries. */
   private[linalg] final class NonZeros(val capacity: Int) {
     private val at = new Array[Int](capacity)
     private val x = new Array[Double](capacity)
     private var n = 0
 
-    /** Keeps the non-zero values of `data(off + p * stride)`, p < count. */
-    def gather(data: Array[Double], off: Int, stride: Int, count: Int): Unit = {
+    /** Keeps the non-zero values of `data(off + p)`, p < count. */
+    def gather(data: Array[Double], off: Int, count: Int): Unit = {
       n = 0
       var p = 0
       while (p < count) {
-        val v = data(off + p * stride)
+        val v = data(off + p)
         if (v != 0.0) { at(n) = p; x(n) = v; n += 1 }
         p += 1
       }
@@ -244,54 +203,12 @@ object Mat {
         q += 1
       }
     }
-
-    /** out(off + j) = sum over q of x_q * b(j, at_q), for every row j of
-      * b; eight j per pass, each with its own running sum. */
-    def dotRows(b: Mat, out: Array[Double], off: Int): Unit = {
-      val k = b.cols; val bd = b.data
-      var j = 0
-      while (j + 8 <= b.rows) {
-        var s0, s1, s2, s3, s4, s5, s6, s7 = 0.0
-        var q = 0
-        while (q < n) {
-          val xq = x(q); val o = j * k + at(q)
-          s0 += xq * bd(o); s1 += xq * bd(o + k); s2 += xq * bd(o + 2 * k); s3 += xq * bd(o + 3 * k)
-          s4 += xq * bd(o + 4 * k); s5 += xq * bd(o + 5 * k); s6 += xq * bd(o + 6 * k); s7 += xq * bd(o + 7 * k)
-          q += 1
-        }
-        out(off + j) = s0; out(off + j + 1) = s1; out(off + j + 2) = s2; out(off + j + 3) = s3
-        out(off + j + 4) = s4; out(off + j + 5) = s5; out(off + j + 6) = s6; out(off + j + 7) = s7
-        j += 8
-      }
-      while (j < b.rows) {
-        var s = 0.0
-        var q = 0
-        while (q < n) { s += x(q) * bd(j * k + at(q)); q += 1 }
-        out(off + j) = s
-        j += 1
-      }
-    }
-  }
-
-  /** `into` zero-filled, or a new zero matrix when `into` is null. */
-  private def zeroed(into: Mat, rows: Int, cols: Int): Mat =
-    if (into == null) zeros(rows, cols)
-    else { java.util.Arrays.fill(checkShape(into, rows, cols).data, 0.0); into }
-
-  private def checkShape(into: Mat, rows: Int, cols: Int): Mat = {
-    require(into.rows == rows && into.cols == cols, s"output ${into.rows}x${into.cols}, expected ${rows}x$cols")
-    into
   }
 
   def fill(rows: Int, cols: Int, v: Double): Mat = {
     val out = Buffers.array(rows * cols)
     java.util.Arrays.fill(out, v)
     new Mat(rows, cols, out)
-  }
-
-  def apply(rows: Int, cols: Int)(vals: Double*): Mat = {
-    require(vals.length == rows * cols, "literal size mismatch")
-    new Mat(rows, cols, vals.toArray)
   }
 
   /** Glorot-style uniform init, deterministic in the supplied RNG. */

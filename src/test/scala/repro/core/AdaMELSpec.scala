@@ -52,6 +52,24 @@ class AdaMELSpec extends AnyFunSuite {
     assert(bytes < (1 << 20), s"$bytes bytes")
   }
 
+  test("a warm training step allocates under 96 KB: its tape arrays are recycled") {
+    // Monitor's shapes: F = 26, D = 32, so W1 is 416 x 32 and its transpose
+    // alone 106 KB. A warm step allocated ~51 KB, its tape objects and Mat
+    // wrappers; with a fresh array for each transpose it allocated ~612 KB.
+    val wide = TestPairs.wide(64, 13, 32, seed = 9)
+    val m = new AdaMEL(cfg(Variant.Base), 32, wide.featureNames)
+    val trainer = new Trainer(m.parameters, 1e-2, 1e-2)
+    val idx = Array.range(0, 16)
+    val y = wide.labelCol.rowsAt(idx)
+    def step(): Double = trainer.step {
+      val l = Trainer.bce(m.forward(wide.feats.map(_.rowsAt(idx)))._2, y)
+      Loss(l, "L_base" -> l)
+    }
+    step()
+    val bytes = Alloc.bytes(step())
+    assert(bytes < 96 * 1024, s"$bytes bytes")
+  }
+
   test("base loss decreases during training (Eq. 8)") {
     val m = new AdaMEL(cfg(Variant.Base), dim, train.featureNames)
     val losses = m.fit(train)

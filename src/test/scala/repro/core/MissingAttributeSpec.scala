@@ -42,11 +42,11 @@ class MissingAttributeSpec extends SparkSpec {
     // sees nothing but the source rows, where these features are the missing vector.
     for (v <- Seq(Variant.Hyb, Variant.Base)) {
       val m = new AdaMEL(AdaMELConfig(variant = v, epochs = 4, weightDecay = 0.0), Dim, train.featureNames)
-      val before = c2Features.map(f => m.parameters(f).v.copy()) // parameters start with V_1 .. V_F
+      val before = c2Features.map(f => m.parameters(f).v.data.clone()) // parameters start with V_1 .. V_F
       val losses = m.fit(train, Some(target), Some(support))
       assert(losses.forall(_.isFinite), s"${v.name} losses $losses")
       c2Features.zip(before).foreach { case (f, v0) =>
-        assert(!java.util.Arrays.equals(m.parameters(f).v.data, v0.data), s"${v.name}: V of ${m.featureNames(f)} did not move")
+        assert(!java.util.Arrays.equals(m.parameters(f).v.data, v0), s"${v.name}: V of ${m.featureNames(f)} did not move")
       }
     }
   }

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.Mats._
 
 /** Finite-difference gradient checks for every AD op and for representative
   * composites (including the full AdaMEL-shaped forward pass). These are the
@@ -151,8 +152,8 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("a second backward gives bit-identical gradients through a shared matmul parameter") {
-    // The second call reuses the zeroed buffers and the scratch for the
-    // shared parameter's later products.
+    // The second call zero-fills the parameters' gradient buffers and adds
+    // the shared parameter's two products into them again.
     val x1 = AD.input(randMat(4, 3)); val x2 = AD.input(randMat(4, 3))
     val w = AD.leaf(randMat(3, 2)); val v = AD.leaf(randMat(2, 1))
     def loss() = AD.sumAll(AD.tanh(AD.add(AD.matmul(AD.matmul(x1, w), v), AD.matmul(AD.matmul(x2, w), v))))
@@ -160,6 +161,23 @@ class ADSpec extends AnyFunSuite {
     val (gw, gv) = (w.grad.copy(), v.grad.copy())
     AD.backward(loss())
     assert(java.util.Arrays.equals(w.grad.data, gw.data) && java.util.Arrays.equals(v.grad.data, gv.data))
+  }
+
+  test("a matmul's gradients skip the zero factors %*% skips") {
+    // An exact-zero factor times an infinity adds nothing in %*%; the
+    // backward's products must skip the same factors, or a NaN would show.
+    // a's gradient: relu zeroes the cotangent of column 1, where b's -Inf is.
+    val a = AD.leaf(Mats(2, 2)(1, 2, 3, 0.5))
+    val b = AD.input(Mats(2, 3)(1, Double.NegativeInfinity, -1, 0.5, 1, 2))
+    AD.backward(AD.sumAll(AD.relu(AD.matmul(a, b)))) // cotangent (1, 0, 1; 1, 0, 0)
+    assert(java.util.Arrays.equals(a.grad.data, Array(0.0, 2.5, 1.0, 0.5)))
+    // w's gradient: the cotangent's Inf meets x's exact zero in row 0,
+    // which is skipped, and a 1 in row 1.
+    val x = AD.input(Mats(2, 2)(0, 1, 2, 3))
+    val w = AD.leaf(Mats(2, 2)(1, 2, 3, 4))
+    val inf = Double.PositiveInfinity
+    AD.backward(AD.sumAll(AD.mul(AD.matmul(x, w), AD.input(Mats(2, 2)(inf, 1, 1, 1))))) // cotangent (Inf, 1; 1, 1)
+    assert(java.util.Arrays.equals(w.grad.data, Array(2.0, 2.0, inf, 4.0)))
   }
 
   test("grad: bceWithLogits") {
@@ -197,13 +215,13 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("klToConst is zero when rows equal the target") {
-    val target = Mat(1, 4)(0.25, 0.25, 0.25, 0.25)
+    val target = Mats(1, 4)(0.25, 0.25, 0.25, 0.25)
     val g = AD.leaf(Mat.fill(3, 4, 0.25))
     assert(math.abs(AD.klToConst(g, target).scalar) < 1e-9)
   }
 
   test("klToConst is positive when rows differ from the target") {
-    val target = Mat(1, 4)(0.7, 0.1, 0.1, 0.1)
+    val target = Mats(1, 4)(0.7, 0.1, 0.1, 0.1)
     val g = AD.leaf(Mat.fill(3, 4, 0.25))
     assert(AD.klToConst(g, target).scalar > 0.01)
   }
@@ -239,11 +257,11 @@ class ADSpec extends AnyFunSuite {
   }
 
   test("relu and klToConst propagate NaN instead of dropping it") {
-    val r = AD.relu(AD.input(Mat(1, 3)(Double.NaN, -1.0, 2.0))).v
+    val r = AD.relu(AD.input(Mats(1, 3)(Double.NaN, -1.0, 2.0))).v
     assert(r(0, 0).isNaN && r(0, 1) == 0.0 && r(0, 2) == 2.0)
     val g = AD.input(Mat.fill(2, 2, 0.5))
-    assert(AD.klToConst(g, Mat(1, 2)(Double.NaN, 0.5)).scalar.isNaN)
-    assert(AD.klToConst(g, Mat(1, 2)(0.0, 1.0)).scalar.isFinite)
+    assert(AD.klToConst(g, Mats(1, 2)(Double.NaN, 0.5)).scalar.isNaN)
+    assert(AD.klToConst(g, Mats(1, 2)(0.0, 1.0)).scalar.isFinite)
   }
 
   test("gradient accumulates when a node is used twice") {

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.Mats._
 
 class AdamRngSpec extends AnyFunSuite {
 
@@ -59,7 +60,7 @@ class AdamRngSpec extends AnyFunSuite {
 
   test("Adam minimizes a convex quadratic") {
     // f(x) = ||x - c||^2, minimized at c.
-    val c = Mat(1, 3)(1.0, -2.0, 0.5)
+    val c = Mats(1, 3)(1.0, -2.0, 0.5)
     val x = AD.leaf(Mat.zeros(1, 3))
     val opt = new Adam(Seq(x), lr = 0.05)
     for (_ <- 0 until 500) {
@@ -102,7 +103,7 @@ class AdamRngSpec extends AnyFunSuite {
   }
 
   test("a parameter left off a step's tape gets a zero gradient, not the previous step's") {
-    val p = AD.leaf(Mat(1, 2)(0.5, -1.0)); val q = AD.leaf(Mat(1, 2)(2.0, 3.0))
+    val p = AD.leaf(Mats(1, 2)(0.5, -1.0)); val q = AD.leaf(Mats(1, 2)(2.0, 3.0))
     val opt = new Adam(Seq(p, q), lr = 0.1)
     opt.zeroGrad(); AD.backward(AD.sumAll(AD.mul(p, q))); opt.step()
     assert(q.grad.data.forall(_ != 0.0))

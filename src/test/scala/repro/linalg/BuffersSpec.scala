@@ -5,6 +5,7 @@ import java.util.concurrent.{Callable, Executors}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{AdaMEL, AdaMELConfig, Variant}
 import repro.er.{PairBatch, TestPairs}
+import repro.linalg.Mats._
 
 /** The buffer scopes' recycling and the lifetime rule their callers keep:
   * recycled arrays never change a result, what lives across steps is never
@@ -45,13 +46,12 @@ class BuffersSpec extends AnyFunSuite {
     val (row, col) = (randMat(1, 4), randMat(5, 1))
     val w = AD.leaf(randMat(4, 3)); val bias = AD.leaf(randMat(1, 3)); val u = AD.leaf(randMat(3, 2))
     val y = Mat.colVec(Array(1.0, 0.0, 1.0, 1.0, 0.0))
-    val target = Mat(1, 2)(0.25, 0.75)
+    val target = Mats(1, 2)(0.25, 0.75)
     // Every op's result, copied, in order; the parameters' gradients last.
     def run(): Seq[Array[Double]] = {
-      val mats = Seq(a.map(math.sin), a + a, a - a, a * a, a * 3.0, a %*% b, a.matmulTN(c), c.matmulNT(b),
-        a.matmulTN(c, Mat.zeros(4, 3)), c.matmulNT(b, Mat.zeros(5, 4)), a.t, a.addRowVec(row),
-        a.mulColVec(col), a.colSum, a.colMean, a.rowsAt(Array(4, 0, 4)), Mat.hcat(Seq(a, c, col)),
-        Mat.zeros(2, 2), Mat.fill(2, 2, 0.5))
+      val mats = Seq(a.map(math.sin), a + a, a - a, a * a, a * 3.0, a %*% b, a.t %*% c, c %*% b.t, a.t,
+        a.addRowVec(row), a.mulColVec(col), a.colSum, a.colMean, a.rowsAt(Array(4, 0, 4)),
+        Mat.hcat(Seq(a, c, col)), Mat.zeros(2, 2), Mat.fill(2, 2, 0.5))
       val x = AD.input(a)
       val h = AD.relu(AD.addRowVec(AD.matmul(x, w), bias))
       val e = AD.tanh(AD.mul(h, AD.scale(h, 0.5)))
@@ -92,11 +92,11 @@ class BuffersSpec extends AnyFunSuite {
     }
   }
 
-  test("no parameter value, gradient or scratch buffer, nor Adam moment, is handed out by a scope") {
+  test("no parameter value or gradient, nor Adam moment, is handed out by a scope") {
     val m = new AdaMEL(cfgA, Dim, train.featureNames)
     m.fit(train, Some(target), Some(support))
     m.parameters.foreach { p =>
-      assert(!Buffers.holds(p.v.data) && !Buffers.holds(p.grad.data) && !Buffers.holds(p.scratch.data))
+      assert(!Buffers.holds(p.v.data) && !Buffers.holds(p.grad.data))
     }
     val ps = Seq(AD.leaf(randMat(3, 2)), AD.leaf(randMat(2, 1)))
     val opt = new Adam(ps)

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.Mats._
 
 class MatSpec extends AnyFunSuite {
 
@@ -21,7 +22,7 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("literal constructor is row-major") {
-    val m = Mat(2, 2)(1, 2, 3, 4)
+    val m = Mats(2, 2)(1, 2, 3, 4)
     assert(m(0, 0) == 1 && m(0, 1) == 2 && m(1, 0) == 3 && m(1, 1) == 4)
   }
 
@@ -44,8 +45,8 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("elementwise mul matches manual loop") {
-    val a = Mat(2, 2)(1, 2, 3, 4); val b = Mat(2, 2)(5, 6, 7, 8)
-    assert((a * b).approxEquals(Mat(2, 2)(5, 12, 21, 32)))
+    val a = Mats(2, 2)(1, 2, 3, 4); val b = Mats(2, 2)(5, 6, 7, 8)
+    assert((a * b).approxEquals(Mats(2, 2)(5, 12, 21, 32)))
   }
 
   test("scalar mul scales every entry") {
@@ -57,14 +58,14 @@ class MatSpec extends AnyFunSuite {
 
   test("matmul identity") {
     val a = randMat(3, 3)
-    val id = Mat(3, 3)(1, 0, 0, 0, 1, 0, 0, 0, 1)
+    val id = Mats(3, 3)(1, 0, 0, 0, 1, 0, 0, 0, 1)
     assert((a %*% id).approxEquals(a) && (id %*% a).approxEquals(a))
   }
 
   test("matmul known values") {
-    val a = Mat(2, 3)(1, 2, 3, 4, 5, 6)
-    val b = Mat(3, 2)(7, 8, 9, 10, 11, 12)
-    assert((a %*% b).approxEquals(Mat(2, 2)(58, 64, 139, 154)))
+    val a = Mats(2, 3)(1, 2, 3, 4, 5, 6)
+    val b = Mats(3, 2)(7, 8, 9, 10, 11, 12)
+    assert((a %*% b).approxEquals(Mats(2, 2)(58, 64, 139, 154)))
   }
 
   test("matmul associativity") {
@@ -86,15 +87,15 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("addRowVec broadcasts to each row") {
-    val a = Mat(2, 3)(1, 1, 1, 2, 2, 2)
-    val v = Mat(1, 3)(10, 20, 30)
-    assert(a.addRowVec(v).approxEquals(Mat(2, 3)(11, 21, 31, 12, 22, 32)))
+    val a = Mats(2, 3)(1, 1, 1, 2, 2, 2)
+    val v = Mats(1, 3)(10, 20, 30)
+    assert(a.addRowVec(v).approxEquals(Mats(2, 3)(11, 21, 31, 12, 22, 32)))
   }
 
   test("mulColVec broadcasts across columns") {
-    val a = Mat(2, 3)(1, 2, 3, 4, 5, 6)
+    val a = Mats(2, 3)(1, 2, 3, 4, 5, 6)
     val v = Mat.colVec(Array(2.0, 10.0))
-    assert(a.mulColVec(v).approxEquals(Mat(2, 3)(2, 4, 6, 40, 50, 60)))
+    assert(a.mulColVec(v).approxEquals(Mats(2, 3)(2, 4, 6, 40, 50, 60)))
   }
 
   test("sum equals colSum total") {
@@ -116,8 +117,8 @@ class MatSpec extends AnyFunSuite {
     m
   }
 
-  /** Fixed edge shapes (1-row, 1-column, 1 x 1, and widths on both sides of
-    * matmulNT's 8-wide blocks) plus random ones. */
+  /** Fixed edge shapes (1-row, 1-column, 1 x 1, and inner widths on both
+    * sides of `%*%`'s four-factor passes) plus random ones. */
   private val kernelShapes: Seq[(Int, Int, Int)] =
     Seq((1, 1, 1), (1, 5, 3), (4, 1, 6), (5, 3, 1), (3, 7, 8), (6, 9, 17), (16, 32, 16), (16, 30, 13)) ++
       (0 until 40).map(_ => (1 + rng.nextInt(12), 1 + rng.nextInt(12), 1 + rng.nextInt(20)))
@@ -135,72 +136,27 @@ class MatSpec extends AnyFunSuite {
     }
   }
 
-  test("matmulTN equals a.t %*% b bit for bit") {
-    kernelShapes.foreach { case (k, r, c) =>
-      val a = sparseMat(k, r); val b = sparseMat(k, c)
-      val got = a.matmulTN(b); val want = a.t %*% b
-      assert(got.rows == r && got.cols == c)
-      assert(java.util.Arrays.equals(got.data, want.data), s"($k x $r)^T %*% $k x $c")
-    }
-  }
-
-  test("matmulNT equals a %*% b.t bit for bit") {
-    kernelShapes.foreach { case (k, r, c) =>
-      val a = sparseMat(r, k); val b = sparseMat(c, k)
-      val got = a.matmulNT(b); val want = a %*% b.t
-      assert(got.rows == r && got.cols == c)
-      assert(java.util.Arrays.equals(got.data, want.data), s"$r x $k %*% ($c x $k)^T")
-    }
-  }
-
-  test("matmulTN and matmulNT skip the zero factors %*% skips") {
-    // An exact zero times an infinity adds nothing in %*%; the kernels must
-    // skip the same products, or the NaN would show.
-    val a = Mat(2, 3)(0, 1, 2, 3, 0, 4)
-    val inf = Double.PositiveInfinity
-    val bTN = Mat(2, 2)(inf, 1, 2, inf)
-    assert(java.util.Arrays.equals(a.matmulTN(bTN).data, (a.t %*% bTN).data))
-    val bNT = Mat(2, 3)(inf, 1, 2, 3, inf, 5)
-    assert(java.util.Arrays.equals(a.matmulNT(bNT).data, (a %*% bNT.t).data))
-    assert(!(a %*% bNT.t).data.exists(_.isNaN))
-  }
-
-  test("matmulTN and matmulNT overwrite a given output") {
-    val a = sparseMat(5, 3); val b = sparseMat(5, 4); val c = sparseMat(2, 3)
-    val tn = Mat.fill(3, 4, 7.0); val nt = Mat.fill(5, 2, 7.0)
-    assert(a.matmulTN(b, tn) eq tn)
-    assert(java.util.Arrays.equals(tn.data, (a.t %*% b).data))
-    assert(a.matmulNT(c, nt) eq nt)
-    assert(java.util.Arrays.equals(nt.data, (a %*% c.t).data))
-    intercept[IllegalArgumentException](a.matmulTN(b, Mat.zeros(4, 3)))
-  }
-
-  test("matmulTN and matmulNT reject mismatched shapes") {
-    intercept[IllegalArgumentException](Mat.zeros(2, 3).matmulTN(Mat.zeros(3, 2)))
-    intercept[IllegalArgumentException](Mat.zeros(2, 3).matmulNT(Mat.zeros(3, 2)))
-  }
-
   test("hcat of several parts keeps each part's columns in order") {
-    val parts = Seq(Mat(2, 1)(1, 2), Mat(2, 3)(3, 4, 5, 6, 7, 8), Mat(2, 1)(9, 10), Mat(2, 2)(11, 12, 13, 14))
-    assert(Mat.hcat(parts).approxEquals(Mat(2, 7)(1, 3, 4, 5, 9, 11, 12, 2, 6, 7, 8, 10, 13, 14), 0.0))
+    val parts = Seq(Mats(2, 1)(1, 2), Mats(2, 3)(3, 4, 5, 6, 7, 8), Mats(2, 1)(9, 10), Mats(2, 2)(11, 12, 13, 14))
+    assert(Mat.hcat(parts).approxEquals(Mats(2, 7)(1, 3, 4, 5, 9, 11, 12, 2, 6, 7, 8, 10, 13, 14), 0.0))
     intercept[IllegalArgumentException](Mat.hcat(Seq(Mat.zeros(2, 1), Mat.zeros(3, 1))))
   }
 
   test("hcat preserves both halves") {
-    val a = Mat(2, 2)(1, 2, 3, 4); val b = Mat(2, 1)(9, 10)
+    val a = Mats(2, 2)(1, 2, 3, 4); val b = Mats(2, 1)(9, 10)
     val h = Mat.hcat(Seq(a, b))
     assert(h.cols == 3 && h(0, 2) == 9 && h(1, 2) == 10 && h(1, 1) == 4)
   }
 
   test("rowsAt selects and reorders") {
-    val a = Mat(3, 2)(1, 2, 3, 4, 5, 6)
+    val a = Mats(3, 2)(1, 2, 3, 4, 5, 6)
     val s = a.rowsAt(Array(2, 0))
-    assert(s.approxEquals(Mat(2, 2)(5, 6, 1, 2)))
+    assert(s.approxEquals(Mats(2, 2)(5, 6, 1, 2)))
   }
 
   test("map applies elementwise") {
-    val a = Mat(1, 3)(1, -2, 3)
-    assert(a.map(math.abs).approxEquals(Mat(1, 3)(1, 2, 3)))
+    val a = Mats(1, 3)(1, -2, 3)
+    assert(a.map(math.abs).approxEquals(Mats(1, 3)(1, 2, 3)))
   }
 
   test("glorot init is within the glorot bound and deterministic in seed") {
@@ -220,7 +176,7 @@ class MatSpec extends AnyFunSuite {
 
   test("fromRows builds the expected matrix and rejects ragged input") {
     val m = Mats.fromRows(Seq(Array(1.0, 2), Array(3.0, 4)))
-    assert(m.approxEquals(Mat(2, 2)(1, 2, 3, 4)))
+    assert(m.approxEquals(Mats(2, 2)(1, 2, 3, 4)))
     intercept[IllegalArgumentException](Mats.fromRows(Seq(Array(1.0), Array(1.0, 2))))
   }
 
